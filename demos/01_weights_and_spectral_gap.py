@@ -13,7 +13,6 @@ from netalloc import (
     cycle_graph,
     metropolis_weights,
     path_graph,
-    sigma2_power_iteration,
 )
 
 # sigma2 for the classic small topologies: denser graphs mix faster
@@ -25,9 +24,7 @@ for name, graph in [
     w = metropolis_weights(graph)
     print(f"{name:12s} sigma2 = {w.sigma2:.6f}")
 
-# the dense-SVD and power-iteration routes agree
 w = metropolis_weights(cycle_graph(8))
-print(f"\npower iteration on cycle-8: {sigma2_power_iteration(w.entries):.12f}")
 
 # watch disagreement decay under repeated averaging
 values = np.array([8.0, -3.0, 5.0, 4.0, -7.0, 2.0, 1.0, -6.0])

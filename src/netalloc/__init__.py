@@ -39,7 +39,6 @@ from .errors import (
     InfeasibleTotal,
     NetallocError,
     ParseError,
-    PowerIterationError,
     RowSumViolation,
     ShareSumMismatch,
     SparsityMismatch,
@@ -58,8 +57,6 @@ from .graphs import (
     path_graph,
     second_largest_singular_value,
     serialize_edge_list,
-    sigma2_dense,
-    sigma2_power_iteration,
     validate_weight_matrix,
 )
 from .objectives import (
@@ -75,14 +72,6 @@ from .objectives import (
 )
 from .oracle import OracleSolution, solve_centralized, verify_kkt
 from .schedules import Custom, PowerLaw, Recip, RecipSqrt, StepSchedule, parse_schedule
-from .simulator import (
-    AgentState,
-    RunTrace,
-    consensus_step,
-    dual_step,
-    lagrangian_value,
-    run_dlm,
-    weighted_dual_average,
-)
+from .simulator import RunTrace, consensus_step, lagrangian_value, run_dlm
 
 __version__ = "0.1.0"

@@ -55,10 +55,6 @@ class SparsityMismatch(NetallocError):
         super().__init__(reason)
 
 
-class PowerIterationError(NetallocError):
-    """Spectral iteration failed to converge within the step budget."""
-
-
 class InfeasibleTotal(NetallocError):
     """The total resource cannot be met by the nodes' intervals."""
 

@@ -3,7 +3,8 @@
 The consensus step of the distributed solver averages neighbor values with a
 doubly stochastic matrix ``A`` whose sparsity matches an undirected connected
 graph. The key spectral quantity is ``sigma2``, the second-largest singular
-value of ``A``: disagreement between nodes decays like ``sigma2**k``.
+value of ``A``: disagreement between nodes decays like ``sigma2**k``. It is
+computed exactly, by a dense SVD of ``A``, at every order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 from .errors import (
     ColSumViolation,
     DisconnectedGraph,
-    PowerIterationError,
     RowSumViolation,
     SparsityMismatch,
     ZeroDiagonal,
@@ -24,10 +24,6 @@ from .errors import (
 
 # Absolute tolerance on each row/column sum of a doubly stochastic matrix.
 STOCHASTIC_TOL = 1e-9
-
-# Matrices up to this order use a dense SVD; larger ones use deflated power
-# iteration.
-DENSE_CUTOFF = 64
 
 
 @dataclass(frozen=True)
@@ -191,7 +187,7 @@ def metropolis_weights(g):
         a[i, j] = w
         a[j, i] = w
     for i in range(g.n):
-        a[i, i] = 1.0 - math.fsum(a[i, k] for k in range(g.n) if k != i)
+        a[i, i] = 1.0 - math.fsum(a[i].tolist())  # a[i, i] is still 0 here
     return validate_weight_matrix(a, g)
 
 
@@ -205,8 +201,7 @@ def max_degree_weights(g):
     for i, j in g.edges:
         a[i, j] = w
         a[j, i] = w
-    for i in range(g.n):
-        a[i, i] = 1.0 - deg[i] * w
+    a[np.diag_indices(g.n)] = 1.0 - np.asarray(deg) * w
     return validate_weight_matrix(a, g)
 
 
@@ -228,18 +223,17 @@ def validate_weight_matrix(entries, g):
         total = math.fsum(a[:, j].tolist())
         if abs(total - 1.0) > STOCHASTIC_TOL:
             raise ColSumViolation(j, total)
-    for i in range(g.n):
-        if not a[i, i] > 0.0:
-            raise ZeroDiagonal(i, a[i, i])
-    for i in range(g.n):
-        for j in range(g.n):
-            if i == j:
-                continue
-            is_edge = g.has_edge(i, j)
-            if is_edge and not a[i, j] > 0.0:
-                raise SparsityMismatch(i, j, a[i, j], True)
-            if not is_edge and a[i, j] != 0.0:
-                raise SparsityMismatch(i, j, a[i, j], False)
+    bad_diag = ~(np.diag(a) > 0.0)
+    if bad_diag.any():
+        i = int(np.argmax(bad_diag))
+        raise ZeroDiagonal(i, a[i, i])
+    adj = g.adjacency()
+    off_edge = ~adj
+    np.fill_diagonal(off_edge, False)
+    bad = (adj & ~(a > 0.0)) | (off_edge & (a != 0.0))
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), g.n)  # first violation in row-major order
+        raise SparsityMismatch(i, j, a[i, j], bool(adj[i, j]))
     return WeightMatrix(g.n, a.copy(), second_largest_singular_value(a))
 
 
@@ -262,61 +256,10 @@ def parse_weight_matrix(text):
     return np.array(rows, dtype=float)
 
 
-def sigma2_dense(a):
-    """Second-largest singular value via a full dense SVD."""
+def second_largest_singular_value(a):
+    """Second-largest singular value of a square matrix, by a full dense SVD."""
     a = np.asarray(a, dtype=float)
     if a.shape[0] < 2:
         raise ValueError("sigma2 needs a matrix of order >= 2")
     s = np.linalg.svd(a, compute_uv=False)
     return float(s[1])
-
-
-def sigma2_power_iteration(a, tol=1e-10, max_iter=200_000):
-    """Second-largest singular value via deflated power iteration.
-
-    Works on ``B = A^T A`` with the known top singular pair deflated: for a
-    doubly stochastic ``A`` the vector ``1/sqrt(n)`` is a singular vector with
-    value 1, so power iteration on ``B - (1/n) 11^T`` converges to
-    ``sigma2**2``. Iterates until the Rayleigh quotient is stable to a
-    relative tolerance of ``tol``.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n < 2:
-        raise ValueError("sigma2 needs a matrix of order >= 2")
-    u = np.full(n, 1.0 / math.sqrt(n))
-
-    def deflated(vec):
-        return a.T @ (a @ vec) - u * (u @ vec)
-
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v -= u * (u @ v)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:  # cannot happen for n >= 2 with a continuous draw
-        return 0.0
-    v /= norm
-
-    mu_prev = None
-    for _ in range(max_iter):
-        w = deflated(v)
-        w -= u * (u @ w)  # re-project against roundoff drift
-        norm = np.linalg.norm(w)
-        if norm <= 1e-30:
-            return 0.0  # deflated operator is numerically zero
-        v = w / norm
-        mu = float(v @ deflated(v))
-        if mu_prev is not None and abs(mu - mu_prev) <= tol * max(abs(mu), 1e-30):
-            return math.sqrt(max(mu, 0.0))
-        mu_prev = mu
-    raise PowerIterationError(
-        f"sigma2 power iteration did not reach relative tolerance {tol} in {max_iter} steps"
-    )
-
-
-def second_largest_singular_value(a, dense_cutoff=DENSE_CUTOFF, tol=1e-10, max_iter=200_000):
-    """Dispatch to a dense SVD for small matrices, power iteration otherwise."""
-    a = np.asarray(a, dtype=float)
-    if a.shape[0] <= dense_cutoff:
-        return sigma2_dense(a)
-    return sigma2_power_iteration(a, tol=tol, max_iter=max_iter)

@@ -35,11 +35,12 @@ class StepSchedule:
         return self.alpha(0) == 1.0
 
     def alphas(self, count):
-        """First ``count`` values as an array, validated positive nonincreasing."""
+        """First ``count`` values as an array, validated finite, positive, nonincreasing."""
         vals = np.array([self.alpha(k) for k in range(count)], dtype=float)
-        if count and (vals <= 0.0).any():
-            k = int(np.argmax(vals <= 0.0))
-            raise ValueError(f"step size must be positive, got alpha({k}) = {vals[k]}")
+        # min and max are NaN when any value is, so NaN fails both comparisons
+        if count and not (vals.min() > 0.0 and vals.max() < math.inf):
+            k = int(np.argmax(~((vals > 0.0) & (vals < math.inf))))
+            raise ValueError(f"step size must be finite and positive, got alpha({k}) = {vals[k]}")
         if count > 1 and (np.diff(vals) > 0.0).any():
             k = int(np.argmax(np.diff(vals) > 0.0))
             raise ValueError(

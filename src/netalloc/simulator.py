@@ -16,7 +16,7 @@ fast path performs exactly the same IEEE operations as the per-node path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +45,6 @@ def consensus_step(A, lams):
     return (a * lams).sum(axis=1)
 
 
-def dual_step(v, alpha, x, b):
-    """Dual update ``v - alpha * (b - x)``: a step opposite the subgradient ``b - x``."""
-    if alpha <= 0.0:
-        raise ValueError(f"step size must be positive, got {alpha}")
-    return v - alpha * (b - x)
-
-
 def lagrangian_value(problems, x, mults):
     """Global Lagrangian ``sum_i f_i(x_i) + mults_i * (x_i - b_i)``."""
     problems = tuple(problems)
@@ -62,24 +55,6 @@ def lagrangian_value(problems, x, mults):
     return math.fsum(
         p.cost.value(x[i]) + mults[i] * (x[i] - p.share) for i, p in enumerate(problems)
     )
-
-
-@dataclass
-class AgentState:
-    """One node's iterates plus its time-weighted dual-averaging accumulators."""
-
-    x: float
-    lam: float
-    v: float
-    wsum: float = 0.0  # sum of alpha(k) * lam(k)
-    asum: float = 0.0  # sum of alpha(k)
-
-
-def weighted_dual_average(state):
-    """Time-weighted dual average ``wsum / asum``."""
-    if state.asum <= 0.0:
-        raise ValueError("no iterations recorded: asum is zero")
-    return state.wsum / state.asum
 
 
 @dataclass
@@ -97,8 +72,6 @@ class RunTrace:
     x: np.ndarray
     lam: np.ndarray
     v: np.ndarray
-    wsum: np.ndarray = field(default=None)
-    asum: float = 0.0
 
     @property
     def n(self):
@@ -128,29 +101,10 @@ class RunTrace:
             out[k] = lagrangian_value(self.problems, self.x[k], self.lam[k - 1])
         return out
 
-    def dual_values(self):
-        """Dual function at the mean multiplier, ``q(mean(k) * ones)``, per row."""
-        from .objectives import dual_value
-
-        means = self.mean_multipliers()
-        return np.array(
-            [math.fsum(dual_value(p, m) for p in self.problems) for m in means]
-        )
-
     def total_cost(self, k=-1):
         """Total cost ``sum_i f_i(x_i(k))`` at row ``k`` (default: final row)."""
         row = self.x[k]
         return math.fsum(p.cost.value(row[i]) for i, p in enumerate(self.problems))
-
-    def agent_state(self, i):
-        """Final-time state of node ``i`` including its averaging accumulators."""
-        return AgentState(
-            x=float(self.x[-1, i]),
-            lam=float(self.lam[-1, i]),
-            v=float(self.v[-1, i]),
-            wsum=float(self.wsum[i]),
-            asum=float(self.asum),
-        )
 
     def time_weighted_averages(self, upto=None):
         """Per-node averages ``sum_{k<=K} alpha(k) lam_i(k) / sum alpha(k)``.
@@ -185,47 +139,60 @@ class RunTrace:
 
     @classmethod
     def from_csv(cls, path, problems, schedule):
-        """Rebuild a trace from a CSV written by :meth:`to_csv`."""
+        """Rebuild a trace from a CSV written by :meth:`to_csv`.
+
+        Every ``(k, node)`` cell with ``0 <= k <= max k`` and ``0 <= node < n``
+        must appear exactly once. A negative ``k``, an out-of-range node or a
+        repeated row raises ValueError naming its line; a missing row raises
+        ValueError naming its cell.
+        """
         problems = tuple(problems)
         n = len(problems)
-        rows = []
+        linenos, ks, nodes, values = [], [], [], []
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "k,node,x,lambda,v":
                 raise ValueError(f"unexpected trace header {header!r}")
-            for raw in fh:
+            for lineno, raw in enumerate(fh, start=2):
                 raw = raw.strip()
                 if not raw:
                     continue
                 parts = raw.split(",")
                 if len(parts) != 5:
                     raise ValueError(f"malformed trace row {raw!r}")
-                rows.append(
-                    (int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]), float(parts[4]))
-                )
-        if not rows:
+                linenos.append(lineno)
+                ks.append(int(parts[0]))
+                nodes.append(int(parts[1]))
+                values.append((float(parts[2]), float(parts[3]), float(parts[4])))
+        if not linenos:
             raise ValueError("empty trace file")
-        T = max(r[0] for r in rows)
-        if len(rows) != (T + 1) * n:
-            raise ValueError(
-                f"trace has {len(rows)} rows, expected {(T + 1) * n} for {n} nodes and {T} iterations"
-            )
-        x = np.empty((T + 1, n))
-        lam = np.empty((T + 1, n))
-        v = np.empty((T + 1, n))
-        for k, i, xv, lv, vv in rows:
-            if not (0 <= i < n):
-                raise ValueError(f"node index {i} outside [0,{n})")
-            x[k, i], lam[k, i], v[k, i] = xv, lv, vv
+        ks = np.array(ks)
+        nodes = np.array(nodes)
+        bad = (ks < 0) | (nodes < 0) | (nodes >= n)
+        if bad.any():
+            r = int(np.argmax(bad))
+            if ks[r] < 0:
+                raise ValueError(f"line {linenos[r]}: negative iteration k={ks[r]}")
+            raise ValueError(f"line {linenos[r]}: node index {nodes[r]} outside [0,{n})")
+        T = int(ks.max())
+        cells = ks * n + nodes
+        order = np.argsort(cells, kind="stable")
+        ordered = cells[order]
+        repeats = order[1:][ordered[1:] == ordered[:-1]]
+        if repeats.size:
+            r = int(repeats.min())  # first repeat in file order
+            raise ValueError(f"line {linenos[r]}: repeated row for k={ks[r]}, node={nodes[r]}")
+        # the cells are now distinct, so the first gap in their sorted order is
+        # the first missing one
+        gaps = np.flatnonzero(ordered != np.arange(cells.size))
+        if gaps.size or cells.size != (T + 1) * n:
+            k, i = divmod(int(gaps[0]) if gaps.size else cells.size, n)
+            raise ValueError(f"trace has no row for k={k}, node={i}")
+        data = np.empty((3, cells.size))
+        data[:, cells] = np.array(values).T
+        x, lam, v = (col.reshape(T + 1, n) for col in data)
         b = np.array([p.share for p in problems], dtype=float)
-        # replay the accumulators in the same order the simulator fills them
-        alphas = schedule.alphas(T) if T > 0 else np.zeros(0)
-        wsum = np.zeros(n)
-        asum = 0.0
-        for k in range(T):
-            wsum += alphas[k] * lam[k]
-            asum += alphas[k]
-        return cls(problems=problems, b=b, schedule=schedule, x=x, lam=lam, v=v, wsum=wsum, asum=asum)
+        return cls(problems=problems, b=b, schedule=schedule, x=x, lam=lam, v=v)
 
 
 def run_dlm(problems, A, sched, iters, init_lams=None):
@@ -268,13 +235,9 @@ def run_dlm(problems, A, sched, iters, init_lams=None):
         lo = np.array([p.interval.lo for p in problems])
         hi = np.array([p.interval.hi for p in problems])
 
-    wsum = np.zeros(n)
-    asum = 0.0
     for k in range(iters):
         a_k = alphas[k]
-        wsum += a_k * lam  # time-k multiplier enters the weighted average
-        asum += a_k
-        v = (a * lam).sum(axis=1)
+        v = consensus_step(a, lam)
         if all_quadratic:
             x = np.minimum(np.maximum((-v - beta) / (2.0 * gamma), lo), hi)
         else:
@@ -291,6 +254,4 @@ def run_dlm(problems, A, sched, iters, init_lams=None):
         x=x_hist,
         lam=lam_hist,
         v=v_hist,
-        wsum=wsum,
-        asum=asum,
     )

@@ -9,7 +9,6 @@ from netalloc import (
     ColSumViolation,
     DisconnectedGraph,
     GraphTopology,
-    PowerIterationError,
     RowSumViolation,
     SparsityMismatch,
     ZeroDiagonal,
@@ -23,11 +22,15 @@ from netalloc import (
     path_graph,
     second_largest_singular_value,
     serialize_edge_list,
-    sigma2_dense,
-    sigma2_power_iteration,
     validate_weight_matrix,
 )
 from conftest import random_connected_graph
+
+
+def eigvalsh_sigma2(a):
+    """sigma2 of a symmetric matrix from its eigenvalues: max(|lambda_2|, |lambda_n|)."""
+    eig = np.linalg.eigvalsh(a)
+    return float(max(abs(eig[-2]), abs(eig[0])))
 
 
 class TestGraphTopology:
@@ -161,6 +164,16 @@ class TestValidateWeightMatrix:
             validate_weight_matrix(a, g)
         assert not err.value.is_edge
 
+    def test_reports_first_violation_in_row_major_order(self):
+        # doubly stochastic with a positive diagonal; (0,1) is an edge left at
+        # zero and (0,2) a non-edge set positive, so (0,1) comes first
+        g = path_graph(3)
+        a = np.array([[0.6, 0.0, 0.4], [0.0, 0.5, 0.5], [0.4, 0.5, 0.1]])
+        with pytest.raises(SparsityMismatch) as err:
+            validate_weight_matrix(a, g)
+        assert err.value.args == SparsityMismatch(0, 1, a[0, 1], True).args
+        assert (err.value.i, err.value.j, err.value.is_edge) == (0, 1, True)
+
     def test_accepts_user_supplied(self):
         g = path_graph(3)
         a = np.array([[0.8, 0.2, 0.0], [0.2, 0.6, 0.2], [0.0, 0.2, 0.8]])
@@ -178,12 +191,11 @@ class TestSigma2:
         w = metropolis_weights(path_graph(3))
         assert w.sigma2 == pytest.approx(2.0 / 3.0, abs=1e-12)
 
-    def test_power_iteration_matches_dense(self, suite_rng):
+    def test_matches_eigvalsh_reference(self, suite_rng):
         for _ in range(50):
             n = int(suite_rng.integers(2, 21))
-            g = random_connected_graph(suite_rng, n)
-            a = metropolis_weights(g).entries
-            assert sigma2_power_iteration(a) == pytest.approx(sigma2_dense(a), abs=1e-8)
+            a = metropolis_weights(random_connected_graph(suite_rng, n)).entries
+            assert second_largest_singular_value(a) == pytest.approx(eigvalsh_sigma2(a), abs=1e-12)
 
     def test_below_one_on_connected(self, suite_rng):
         for _ in range(30):
@@ -191,15 +203,21 @@ class TestSigma2:
             w = metropolis_weights(random_connected_graph(suite_rng, n))
             assert w.sigma2 < 1.0
 
-    def test_dispatch_uses_power_iteration_above_cutoff(self, suite_rng):
-        g = random_connected_graph(suite_rng, 70)
-        a = metropolis_weights(g).entries  # n=70 > cutoff: exercised the PI path
-        assert second_largest_singular_value(a) == pytest.approx(sigma2_dense(a), abs=1e-8)
+    def test_order_70_matches_eigvalsh_reference(self, suite_rng):
+        w = metropolis_weights(random_connected_graph(suite_rng, 70))
+        assert w.sigma2 == pytest.approx(eigvalsh_sigma2(w.entries), abs=1e-12)
 
-    def test_power_iteration_step_budget(self):
-        a = metropolis_weights(path_graph(5)).entries
-        with pytest.raises(PowerIterationError, match="tolerance"):
-            sigma2_power_iteration(a, tol=1e-10, max_iter=2)
+    # Metropolis weights put 1/3 on every edge of a cycle or path (n >= 3), so
+    # their spectra are 1/3 + 2/3*cos(2*pi*k/n) and 1/3 + 2/3*cos(pi*k/n)
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_cycle_closed_form(self, n):
+        w = metropolis_weights(cycle_graph(n))
+        assert abs(w.sigma2 - (1.0 / 3.0 + 2.0 / 3.0 * math.cos(2.0 * math.pi / n))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_path_closed_form(self, n):
+        w = metropolis_weights(path_graph(n))
+        assert abs(w.sigma2 - (1.0 / 3.0 + 2.0 / 3.0 * math.cos(math.pi / n))) <= 1e-12
 
 
 class TestFileFormats:

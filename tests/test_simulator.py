@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from netalloc import (
-    AgentState,
+    Custom,
     FeasibleInterval,
     GenericConvex,
     LocalProblem,
@@ -16,13 +16,11 @@ from netalloc import (
     RunTrace,
     consensus_step,
     cycle_graph,
-    dual_step,
     lagrangian_value,
     metropolis_weights,
     path_graph,
     run_dlm,
     solve_centralized,
-    weighted_dual_average,
 )
 from conftest import random_connected_graph, random_quadratic_instance
 
@@ -55,20 +53,32 @@ class TestConsensusStep:
             consensus_step(AVG, np.zeros(3))
 
 
+def one_round(lam0, alpha, x1, share):
+    """``lam(1)`` of one ``run_dlm`` round on two equal nodes whose argmin is ``x1``.
+
+    Averaging equal multipliers gives ``v(1) = lam0``; with ``gamma = 1/2`` the
+    argmin is ``-v - beta``, so ``beta = -lam0 - x1`` puts it at ``x1``.
+    """
+    p = LocalProblem(Quadratic(0.5, -lam0 - x1), FeasibleInterval(-100.0, 100.0), share)
+    trace = run_dlm([p, p], AVG, Custom(lambda k: alpha), 1, init_lams=[lam0, lam0])
+    assert (trace.v[1] == lam0).all() and (trace.x[1] == x1).all()
+    return trace.lam[1]
+
+
 class TestDualStep:
-    # the update moves opposite the dual subgradient b - x
+    # the update lam = v - alpha * (b - x) moves opposite the dual subgradient b - x
     def test_arithmetic(self):
-        assert dual_step(1.0, 0.5, 30.0, 20.0) == pytest.approx(6.0, abs=1e-15)
+        np.testing.assert_allclose(one_round(1.0, 0.5, 30.0, 20.0), 6.0, rtol=0, atol=1e-15)
 
     def test_zero_subgradient(self):
-        assert dual_step(1.0, 0.5, 20.0, 20.0) == 1.0
+        assert (one_round(1.0, 0.5, 20.0, 20.0) == 1.0).all()
 
     def test_underproduction_lowers_multiplier(self):
-        assert dual_step(0.0, 1.0, 0.0, 4.0) == pytest.approx(-4.0, abs=1e-15)
+        np.testing.assert_allclose(one_round(0.0, 1.0, 0.0, 4.0), -4.0, rtol=0, atol=1e-15)
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError, match="positive"):
-            dual_step(0.0, 0.0, 1.0, 2.0)
+            one_round(0.0, 0.0, 1.0, 2.0)
 
 
 class TestRunDlm:
@@ -95,6 +105,12 @@ class TestRunDlm:
     def test_rejects_zero_iters(self):
         with pytest.raises(ValueError, match="at least 1"):
             run_dlm(two_node_instance(), AVG, RecipSqrt(), 0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_step(self, bad):
+        sched = Custom(lambda k: 1.0 if k < 2 else bad)
+        with pytest.raises(ValueError, match=r"finite and positive, got alpha\(2\)"):
+            run_dlm(two_node_instance(), AVG, sched, 5)
 
     def test_rejects_single_node(self):
         p = two_node_instance()[0]
@@ -178,34 +194,39 @@ class TestLagrangianValue:
         assert val == pytest.approx(10.0, abs=1e-15)  # (1 - 1) + (9 + 1)
 
 
+def hand_trace(lam_rows, schedule):
+    """A RunTrace with the given multiplier rows and zero allocations."""
+    lam = np.array(lam_rows, dtype=float)
+    zeros = np.zeros_like(lam)
+    return RunTrace(problems=(), b=np.zeros(lam.shape[1]), schedule=schedule, x=zeros, lam=lam, v=zeros)
+
+
 class TestWeightedDualAverage:
     def test_equal_weights(self):
-        state = AgentState(x=0.0, lam=0.0, v=0.0, wsum=4.0, asum=2.0)
-        assert weighted_dual_average(state) == 2.0
+        trace = hand_trace([[0.0], [4.0]], Custom(lambda k: 1.0))
+        assert trace.time_weighted_averages()[0] == 2.0
 
     def test_constant_multiplier(self):
         c = -3.25
-        asum = 1.0 + 1.0 + 1.0 / math.sqrt(2.0)
-        state = AgentState(x=0.0, lam=c, v=0.0, wsum=c * asum, asum=asum)
-        assert weighted_dual_average(state) == pytest.approx(c, abs=1e-15)
+        trace = hand_trace([[c], [c], [c]], RecipSqrt())
+        assert trace.time_weighted_averages()[0] == pytest.approx(c, abs=1e-15)
 
     def test_hand_history(self):
         # alpha (1, 1, 1/sqrt(2)), lam (0, 4, 10)
-        wsum = 0.0 + 4.0 + 10.0 / math.sqrt(2.0)
-        asum = 2.0 + 1.0 / math.sqrt(2.0)
-        state = AgentState(x=0.0, lam=10.0, v=0.0, wsum=wsum, asum=asum)
-        assert weighted_dual_average(state) == pytest.approx(4.0896, abs=1e-4)
+        trace = hand_trace([[0.0], [4.0], [10.0]], RecipSqrt())
+        assert trace.time_weighted_averages()[0] == pytest.approx(4.0896, abs=1e-4)
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="no iterations"):
-            weighted_dual_average(AgentState(x=0.0, lam=0.0, v=0.0))
+        # checkpoint -1 would average no rows at all
+        trace = hand_trace([[0.0], [4.0]], RecipSqrt())
+        with pytest.raises(ValueError, match="outside recorded range"):
+            trace.time_weighted_averages(-1)
 
     def test_accumulators_match_trace(self):
         trace = run_dlm(two_node_instance(), AVG, RecipSqrt(), 3)
-        state = trace.agent_state(0)
         alphas = [1.0, 1.0, 1.0 / math.sqrt(2.0)]
         expected = math.fsum(a * l for a, l in zip(alphas, trace.lam[:3, 0])) / math.fsum(alphas)
-        assert weighted_dual_average(state) == pytest.approx(expected, abs=1e-12)
+        assert trace.time_weighted_averages(2)[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestRunTrace:
@@ -229,7 +250,28 @@ class TestRunTrace:
         assert (back.x == trace.x).all()
         assert (back.lam == trace.lam).all()
         assert (back.v == trace.v).all()
-        assert (back.wsum == trace.wsum).all() and back.asum == trace.asum
+
+    # a 2-node, 2-round trace: line 1 is the header, lines 2..7 hold (k, node)
+    # = (0,0) (0,1) (1,0) (1,1) (2,0) (2,1)
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: rows[:4] + [rows[3]] + rows[5:], "line 5: repeated row for k=1, node=0"),
+            (lambda rows: rows[:4] + rows[5:], "no row for k=1, node=1"),
+            (lambda rows: rows[:-1], "no row for k=2, node=1"),
+            (lambda rows: rows[:3] + ["-1" + rows[3][1:]] + rows[4:], "line 4: negative iteration k=-1"),
+            (lambda rows: rows[:3] + ["1,2" + rows[3][3:]] + rows[4:], r"line 4: node index 2 outside \[0,2\)"),
+        ],
+        ids=["repeated", "missing", "missing-last", "negative-k", "node-range"],
+    )
+    def test_csv_rejects_bad_rows(self, tmp_path, edit, message):
+        problems = two_node_instance()
+        path = tmp_path / "trace.csv"
+        run_dlm(problems, AVG, RecipSqrt(), 2).to_csv(path)
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(edit(rows)) + "\n")
+        with pytest.raises(ValueError, match=message):
+            RunTrace.from_csv(path, problems, RecipSqrt())
 
     def test_csv_headers(self, tmp_path):
         trace = run_dlm(two_node_instance(), AVG, RecipSqrt(), 2)
@@ -239,9 +281,3 @@ class TestRunTrace:
         trace.summary_to_csv(spath)
         assert tpath.read_text().splitlines()[0] == "k,node,x,lambda,v"
         assert spath.read_text().splitlines()[0] == "k,residual,lagrangian,spread"
-
-    def test_time_weighted_average_matches_accumulators(self):
-        trace = run_dlm(two_node_instance(), AVG, RecipSqrt(), 10)
-        avg = trace.time_weighted_averages(9)  # accumulators cover k = 0..iters-1
-        state0 = trace.agent_state(0)
-        assert avg[0] == pytest.approx(weighted_dual_average(state0), abs=1e-12)
