@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
+import numpy as np
+
 # Absolute x-tolerance of the default golden-section argmin oracle.
 GOLDEN_SECTION_TOL = 1e-10
 
@@ -145,6 +147,44 @@ class LocalProblem:
     def __post_init__(self):
         if not math.isfinite(self.share):
             raise ValueError(f"share must be finite, got {self.share}")
+
+
+@dataclass(frozen=True)
+class QuadraticArrays:
+    """Per-node coefficient and interval arrays of strictly convex quadratics.
+
+    :meth:`value` and :meth:`argmin` broadcast over trailing node axes and
+    perform, element by element, the same IEEE operations in the same order as
+    :meth:`Quadratic.value` and :meth:`Quadratic.shifted_argmin` (``-v - beta``
+    equals ``-(beta + v)`` exactly), so they give the per-node results' bits.
+    """
+
+    gamma: np.ndarray
+    beta: np.ndarray
+    mu: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def value(self, x):
+        return self.gamma * x * x + self.beta * x + self.mu
+
+    def argmin(self, v):
+        return np.minimum(np.maximum((-v - self.beta) / (2.0 * self.gamma), self.lo), self.hi)
+
+
+def quadratic_arrays(problems):
+    """The problems' :class:`QuadraticArrays`, or None unless every cost is a
+    :class:`Quadratic` with ``gamma > 0``; other costs take the per-node path."""
+    problems = tuple(problems)
+    if not all(isinstance(p.cost, Quadratic) and p.cost.gamma > 0.0 for p in problems):
+        return None
+    return QuadraticArrays(
+        gamma=np.array([p.cost.gamma for p in problems], dtype=float),
+        beta=np.array([p.cost.beta for p in problems], dtype=float),
+        mu=np.array([p.cost.mu for p in problems], dtype=float),
+        lo=np.array([p.interval.lo for p in problems], dtype=float),
+        hi=np.array([p.interval.hi for p in problems], dtype=float),
+    )
 
 
 def primal_argmin(p, v):

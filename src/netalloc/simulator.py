@@ -9,8 +9,19 @@ Each round ``k`` performs, for every node ``i``:
 Step 3 moves opposite the dual subgradient ``b_i - x_i`` of the node's convex
 dual piece ``q_i``, which drives the multiplier copies toward the common dual
 optimum while consensus keeps them together. Runs are bitwise deterministic:
-all reductions use fixed numpy pairwise summation and the vectorized quadratic
-fast path performs exactly the same IEEE operations as the per-node path.
+all reductions use fixed numpy pairwise summation.
+
+Vectorised paths. When every cost is a strictly convex quadratic
+(:func:`~netalloc.objectives.quadratic_arrays`), the primal step of a round and
+the cost and multiplier terms of :meth:`RunTrace.lagrangians` are numpy
+expressions over all nodes. They perform, element by element, the same IEEE
+operations in the same order as the per-node path, and each Lagrangian row is
+still one ``math.fsum`` over its nodes' terms, which is exact whatever the
+order; so both paths give the same bits. Any other cost takes the per-node
+path. The CSV writers format ``.tolist()`` slices of about
+:data:`CSV_BLOCK_CELLS` cells with one ``%``-template; ``"%.17g" % x`` gives
+the same text as ``format(x, ".17g")``, and blocking keeps peak memory
+independent of the run length.
 """
 
 from __future__ import annotations
@@ -21,11 +32,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import WeightMatrix
-from .objectives import Quadratic, primal_argmin
+from .objectives import primal_argmin, quadratic_arrays
+
+# Cells (one node at one round) formatted or summed per block by the writers.
+CSV_BLOCK_CELLS = 4096
+
+_TRACE_ROW = "%d,%d,%.17g,%.17g,%.17g\n"
+_SUMMARY_ROW = "%d,%.17g,%.17g,%.17g\n"
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def _row_blocks(rows, width):
+    """``(k0, k1)`` row ranges of about :data:`CSV_BLOCK_CELLS` cells of ``width`` columns."""
+    step = max(1, CSV_BLOCK_CELLS // width)
+    for k0 in range(0, rows, step):
+        yield k0, min(rows, k0 + step)
 
 
 def _entries(A):
@@ -95,10 +115,18 @@ class RunTrace:
 
     def lagrangians(self):
         """Monitored Lagrangian per row: ``L(x(k), lam(k-1))``, row 0 uses ``lam(0)``."""
-        out = np.empty(self.x.shape[0])
-        out[0] = lagrangian_value(self.problems, self.x[0], self.lam[0])
-        for k in range(1, self.x.shape[0]):
-            out[k] = lagrangian_value(self.problems, self.x[k], self.lam[k - 1])
+        rows = self.x.shape[0]
+        prev = np.maximum(np.arange(rows) - 1, 0)
+        q = quadratic_arrays(self.problems)
+        if q is None:
+            return np.array(
+                [lagrangian_value(self.problems, self.x[k], self.lam[j]) for k, j in enumerate(prev)]
+            )
+        out = np.empty(rows)
+        for k0, k1 in _row_blocks(rows, self.n):
+            x = self.x[k0:k1]
+            terms = q.value(x) + self.lam[prev[k0:k1]] * (x - self.b)
+            out[k0:k1] = [math.fsum(row) for row in terms.tolist()]
         return out
 
     def total_cost(self, k=-1):
@@ -119,13 +147,19 @@ class RunTrace:
 
     def to_csv(self, path):
         """Write the per-node trace: header ``k,node,x,lambda,v``, 17 significant digits."""
+        n = self.n
+        nodes = list(range(n))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("k,node,x,lambda,v\n")
-            for k in range(self.x.shape[0]):
-                for i in range(self.n):
-                    fh.write(
-                        f"{k},{i},{_fmt(self.x[k, i])},{_fmt(self.lam[k, i])},{_fmt(self.v[k, i])}\n"
-                    )
+            for k0, k1 in _row_blocks(self.x.shape[0], n):
+                cells = zip(
+                    np.repeat(np.arange(k0, k1), n).tolist(),
+                    nodes * (k1 - k0),
+                    self.x[k0:k1].ravel().tolist(),
+                    self.lam[k0:k1].ravel().tolist(),
+                    self.v[k0:k1].ravel().tolist(),
+                )
+                fh.write("".join(map(_TRACE_ROW.__mod__, cells)))
 
     def summary_to_csv(self, path):
         """Write derived columns: header ``k,residual,lagrangian,spread``."""
@@ -134,17 +168,24 @@ class RunTrace:
         spreads = self.spreads()
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("k,residual,lagrangian,spread\n")
-            for k in range(self.x.shape[0]):
-                fh.write(f"{k},{_fmt(residuals[k])},{_fmt(lagrangians[k])},{_fmt(spreads[k])}\n")
+            for k0, k1 in _row_blocks(self.x.shape[0], 4):
+                rows = zip(
+                    range(k0, k1),
+                    residuals[k0:k1].tolist(),
+                    lagrangians[k0:k1].tolist(),
+                    spreads[k0:k1].tolist(),
+                )
+                fh.write("".join(map(_SUMMARY_ROW.__mod__, rows)))
 
     @classmethod
     def from_csv(cls, path, problems, schedule):
         """Rebuild a trace from a CSV written by :meth:`to_csv`.
 
         Every ``(k, node)`` cell with ``0 <= k <= max k`` and ``0 <= node < n``
-        must appear exactly once. A negative ``k``, an out-of-range node or a
-        repeated row raises ValueError naming its line; a missing row raises
-        ValueError naming its cell.
+        must appear exactly once. A row with the wrong number of fields, a
+        malformed or non-finite number, a negative ``k``, an out-of-range node
+        or a repeated row raises ValueError naming its line; a missing row
+        raises ValueError naming its cell.
         """
         problems = tuple(problems)
         n = len(problems)
@@ -159,15 +200,26 @@ class RunTrace:
                     continue
                 parts = raw.split(",")
                 if len(parts) != 5:
-                    raise ValueError(f"malformed trace row {raw!r}")
+                    raise ValueError(
+                        f"line {lineno}: malformed trace row {raw!r}: "
+                        f"expected 5 fields, got {len(parts)}"
+                    )
+                try:
+                    ks.append(int(parts[0]))
+                    nodes.append(int(parts[1]))
+                    values.append((float(parts[2]), float(parts[3]), float(parts[4])))
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: malformed trace row {raw!r}: {exc}") from None
                 linenos.append(lineno)
-                ks.append(int(parts[0]))
-                nodes.append(int(parts[1]))
-                values.append((float(parts[2]), float(parts[3]), float(parts[4])))
         if not linenos:
             raise ValueError("empty trace file")
         ks = np.array(ks)
         nodes = np.array(nodes)
+        values = np.array(values)
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            r = int(np.argmin(finite))
+            raise ValueError(f"line {linenos[r]}: non-finite value in trace row")
         bad = (ks < 0) | (nodes < 0) | (nodes >= n)
         if bad.any():
             r = int(np.argmax(bad))
@@ -189,10 +241,21 @@ class RunTrace:
             k, i = divmod(int(gaps[0]) if gaps.size else cells.size, n)
             raise ValueError(f"trace has no row for k={k}, node={i}")
         data = np.empty((3, cells.size))
-        data[:, cells] = np.array(values).T
+        data[:, cells] = values.T
         x, lam, v = (col.reshape(T + 1, n) for col in data)
         b = np.array([p.share for p in problems], dtype=float)
         return cls(problems=problems, b=b, schedule=schedule, x=x, lam=lam, v=v)
+
+
+def _require_finite(x_hist, lam_hist, v_hist):
+    """Raise ValueError naming the first round and node with a non-finite iterate."""
+    hists = (x_hist, lam_hist, v_hist)
+    if all(np.isfinite(h).all() for h in hists):
+        return
+    bad = ~np.isfinite(x_hist) | ~np.isfinite(lam_hist) | ~np.isfinite(v_hist)
+    k, i = divmod(int(np.argmax(bad)), x_hist.shape[1])
+    x, lam, v = (float(h[k, i]) for h in hists)
+    raise ValueError(f"non-finite iterate at round k={k}, node {i}: x={x}, lambda={lam}, v={v}")
 
 
 def run_dlm(problems, A, sched, iters, init_lams=None):
@@ -200,7 +263,9 @@ def run_dlm(problems, A, sched, iters, init_lams=None):
 
     Defaults: multipliers start at zero and the recorded initial allocation is
     the midpoint of each interval. Identical inputs produce bitwise-identical
-    traces.
+    traces. A non-finite iterate, including a non-finite initial multiplier
+    (round 0), raises ValueError naming the first round and node where one
+    appears; the check is one pass over the recorded arrays after the rounds.
     """
     problems = tuple(problems)
     n = len(problems)
@@ -228,24 +293,22 @@ def run_dlm(problems, A, sched, iters, init_lams=None):
     lam_hist[0] = lam
     v_hist[0] = lam
 
-    all_quadratic = all(isinstance(p.cost, Quadratic) and p.cost.gamma > 0.0 for p in problems)
-    if all_quadratic:
-        gamma = np.array([p.cost.gamma for p in problems])
-        beta = np.array([p.cost.beta for p in problems])
-        lo = np.array([p.interval.lo for p in problems])
-        hi = np.array([p.interval.hi for p in problems])
-
-    for k in range(iters):
-        a_k = alphas[k]
-        v = consensus_step(a, lam)
-        if all_quadratic:
-            x = np.minimum(np.maximum((-v - beta) / (2.0 * gamma), lo), hi)
-        else:
-            x = np.array([primal_argmin(p, v[i]) for i, p in enumerate(problems)])
-        lam = v - a_k * (b - x)
-        x_hist[k + 1] = x
-        lam_hist[k + 1] = lam
-        v_hist[k + 1] = v
+    q = quadratic_arrays(problems)
+    # floating-point faults in the loop surface as non-finite iterates, which
+    # the pass after it reports with their round
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iters):
+            a_k = alphas[k]
+            v = consensus_step(a, lam)
+            if q is not None:
+                x = q.argmin(v)
+            else:
+                x = np.array([primal_argmin(p, v[i]) for i, p in enumerate(problems)])
+            lam = v - a_k * (b - x)
+            x_hist[k + 1] = x
+            lam_hist[k + 1] = lam
+            v_hist[k + 1] = v
+    _require_finite(x_hist, lam_hist, v_hist)
 
     return RunTrace(
         problems=problems,

@@ -121,7 +121,8 @@ def write_line_chart(path, title, xlabel, ylabel, xs, series):
         ys = np.asarray(ys, dtype=float)
         sx, sy = _downsample(xs, ys)
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(sx, sy))
+        # px and py broadcast over arrays with the same IEEE operations per point
+        points = " ".join(map("%.2f,%.2f".__mod__, zip(px(sx).tolist(), py(sy).tolist())))
         out.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.4"/>'
         )

@@ -1,5 +1,6 @@
 """Bound formulas and their evaluation against traces."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from netalloc import (
     FeasibleInterval,
+    GenericConvex,
     HypothesisViolation,
     LocalProblem,
     PowerLaw,
@@ -17,13 +19,15 @@ from netalloc import (
     consensus_error_bound,
     default_checkpoints,
     global_subgradient_bound,
+    lagrangian_value,
     metropolis_weights,
     rate_bound,
     run_dlm,
     solve_centralized,
     weighted_consensus_bound,
 )
-from conftest import random_connected_graph, random_quadratic_instance
+from netalloc.objectives import quadratic_arrays
+from conftest import SUITE_SEED, random_connected_graph, random_quadratic_instance
 
 
 def make_problem(lo, hi, share, gamma=0.1, beta=0.0):
@@ -192,3 +196,69 @@ class TestCheckBounds:
             report = check_bounds(trace, problems, w, sol.lam_star)
             assert all(r[4] for r in report.consensus_rows)
             assert all(r[4] for r in report.gap_rows)
+
+
+def as_generic(problems):
+    """The same quadratics as generic costs, which take the per-node paths."""
+    return tuple(
+        LocalProblem(
+            GenericConvex(
+                value_fn=p.cost.value,
+                argmin_fn=lambda c, lo, hi, q=p.cost: -(q.beta + c) / (2.0 * q.gamma),
+            ),
+            p.interval,
+            p.share,
+        )
+        for p in problems
+    )
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestVectorisedPaths:
+    # a private stream, so these tests leave the shared suite stream unchanged
+    @pytest.fixture
+    def rng(self):
+        return np.random.default_rng(SUITE_SEED + 3)
+
+    def test_quadratic_path_matches_per_node_path(self, rng):
+        problems, total = random_quadratic_instance(rng, n=7)
+        w = metropolis_weights(random_connected_graph(rng, 7))
+        trace = run_dlm(problems, w, RecipSqrt(), 400)
+        lamstar = solve_centralized(problems, total).lam_star
+        generic = as_generic(problems)
+        assert quadratic_arrays(problems) is not None and quadratic_arrays(generic) is None
+        slow = dataclasses.replace(trace, problems=generic)
+        assert bits(trace.lagrangians()) == bits(slow.lagrangians())
+        fast_report = check_bounds(trace, problems, w, lamstar, checkpoints=[1, 7, 100, 400])
+        slow_report = check_bounds(slow, generic, w, lamstar, checkpoints=[1, 7, 100, 400])
+        assert len(fast_report.gap_rows) == 4
+        assert bits(fast_report.gap_rows) == bits(slow_report.gap_rows)
+        assert bits(fast_report.min_gap) == bits(slow_report.min_gap)
+
+    def test_zero_gamma_mix_takes_per_node_path(self, rng):
+        problems, _ = random_quadratic_instance(rng, n=5)
+        problems[2] = make_problem(-2.0, 6.0, problems[2].share, gamma=0.0, beta=0.3)
+        assert quadratic_arrays(problems) is None
+        w = metropolis_weights(random_connected_graph(rng, 5))
+        trace = run_dlm(problems, w, RecipSqrt(), 150)
+        expected = [
+            lagrangian_value(problems, trace.x[k], trace.lam[max(k - 1, 0)])
+            for k in range(trace.x.shape[0])
+        ]
+        assert bits(trace.lagrangians()) == bits(expected)
+
+    def test_consensus_rows_match_direct_bound(self, rng):
+        problems, total = random_quadratic_instance(rng, n=6)
+        w = metropolis_weights(random_connected_graph(rng, 6))
+        sched = RecipSqrt()
+        trace = run_dlm(problems, w, sched, 300, init_lams=rng.uniform(-3, 3, 6))
+        report = check_bounds(trace, problems, w, solve_centralized(problems, total).lam_star)
+        assert [r[0] for r in report.consensus_rows] == list(range(301))
+        direct = [
+            consensus_error_bound(k, sched, report.sigma2, report.lam0_l1, report.C, trace.n)
+            for k in range(301)
+        ]
+        assert bits([r[2] for r in report.consensus_rows]) == bits(direct)

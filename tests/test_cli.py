@@ -177,6 +177,26 @@ class TestBounds:
         assert code != 0
         assert "HypothesisViolation" in capsys.readouterr().err
 
+    def test_malformed_trace_row_names_its_line(self, tmp_path, capsys):
+        out = self._run(tmp_path, "recip-sqrt")
+        trace = out / "trace.csv"
+        rows = trace.read_text().splitlines()
+        rows[3] = "1,x,1,2,3"
+        trace.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        code = run_cli(
+            "bounds",
+            "--case", "builtin:ieee14",
+            "--graph", "cycle",
+            "--schedule", "recip-sqrt",
+            "--trace", str(trace),
+            "--out", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: line 4: malformed trace row '1,x,1,2,3': ")
+        assert "\n" not in err.strip("\n")
+
     def test_explicit_lamstar_and_checkpoint_one(self, tmp_path, capsys):
         out = self._run(tmp_path, "recip-sqrt")
         code = run_cli(

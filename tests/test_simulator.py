@@ -112,6 +112,26 @@ class TestRunDlm:
         with pytest.raises(ValueError, match=r"finite and positive, got alpha\(2\)"):
             run_dlm(two_node_instance(), AVG, sched, 5)
 
+    def test_nan_argmin_fails_at_its_round(self):
+        # two nodes, two argmin calls per round: call 7 is node 1 of round 4
+        calls = []
+
+        def argmin(c, lo, hi):
+            calls.append(c)
+            return math.nan if len(calls) == 8 else 0.5 * (lo + hi)
+
+        p = LocalProblem(GenericConvex(lambda x: x * x, argmin), FeasibleInterval(-1.0, 1.0), 0.0)
+        with pytest.raises(ValueError, match=r"non-finite iterate at round k=4, node 1: x=nan"):
+            run_dlm([p, p], AVG, RecipSqrt(), 10)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_init_lams_fail_at_round_zero(self, bad):
+        # the path's zero weights multiply an infinite multiplier into NaN
+        problems = two_node_instance() + two_node_instance()[:1]
+        w = metropolis_weights(path_graph(3))
+        with pytest.raises(ValueError, match=r"non-finite iterate at round k=0, node 1"):
+            run_dlm(problems, w, RecipSqrt(), 5, init_lams=[0.0, bad, 0.0])
+
     def test_rejects_single_node(self):
         p = two_node_instance()[0]
         with pytest.raises(ValueError, match="at least 2"):
@@ -261,8 +281,25 @@ class TestRunTrace:
             (lambda rows: rows[:-1], "no row for k=2, node=1"),
             (lambda rows: rows[:3] + ["-1" + rows[3][1:]] + rows[4:], "line 4: negative iteration k=-1"),
             (lambda rows: rows[:3] + ["1,2" + rows[3][3:]] + rows[4:], r"line 4: node index 2 outside \[0,2\)"),
+            (
+                lambda rows: rows[:3] + ["1,x,1,2,3"] + rows[4:],
+                r"line 4: malformed trace row '1,x,1,2,3': invalid literal for int\(\)",
+            ),
+            (lambda rows: rows[:3] + ["1,0,1,2"] + rows[4:], "line 4: .*expected 5 fields, got 4"),
+            (lambda rows: rows[:3] + ["1,0,1,2,3,4"] + rows[4:], "line 4: .*expected 5 fields, got 6"),
+            (lambda rows: rows[:4] + ["1,1,nan,2,3"] + rows[5:], "line 5: non-finite value"),
         ],
-        ids=["repeated", "missing", "missing-last", "negative-k", "node-range"],
+        ids=[
+            "repeated",
+            "missing",
+            "missing-last",
+            "negative-k",
+            "node-range",
+            "bad-number",
+            "short-row",
+            "long-row",
+            "non-finite",
+        ],
     )
     def test_csv_rejects_bad_rows(self, tmp_path, edit, message):
         problems = two_node_instance()
