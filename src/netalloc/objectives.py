@@ -197,13 +197,25 @@ def primal_argmin(p, v):
     return p.cost.shifted_argmin(v, p.interval)
 
 
+def _finite_argmin(p, v, node=None):
+    """:func:`primal_argmin`, or ValueError naming ``node`` (an index) and
+    ``v`` when it is not finite: a ``GenericConvex`` argmin oracle can return
+    NaN, which the interval's clamp lets through."""
+    x = primal_argmin(p, v)
+    if not math.isfinite(x):
+        at = "" if node is None else f" at node {node}"
+        raise ValueError(f"non-finite argmin x={x}{at} for multiplier lam={v!r}")
+    return x
+
+
 def dual_value(p, lam):
     """The node's convex dual piece ``q_i(lam)``.
 
     Equals ``-(f(x_hat) + lam*(x_hat - b))`` with ``x_hat`` the primal argmin,
-    i.e. the negated node contribution to the dual function.
+    i.e. the negated node contribution to the dual function. A non-finite
+    argmin raises ValueError naming the multiplier.
     """
-    x_hat = primal_argmin(p, lam)
+    x_hat = _finite_argmin(p, lam)
     return -(p.cost.value(x_hat) + lam * (x_hat - p.share))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketFailure, InfeasibleTotal
-from .objectives import Quadratic, primal_argmin
+from .objectives import Quadratic, _finite_argmin, primal_argmin, quadratic_arrays
 
 BALANCE_TOL = 1e-9
 MAX_BISECTIONS = 500
@@ -36,8 +36,17 @@ class OracleSolution:
         self.x_star.setflags(write=False)
 
 
-def _aggregate(problems, lam):
-    return math.fsum(primal_argmin(p, lam) for p in problems)
+def _aggregate(problems, q, lam):
+    """``g(lam)``, one ``fsum`` over the nodes' argmins.
+
+    On strictly convex quadratics (``q`` from
+    :func:`~netalloc.objectives.quadratic_arrays`) the argmins are one numpy
+    vector with the per-node bits. Otherwise a non-finite argmin raises
+    ValueError naming the first such node and the multiplier.
+    """
+    if q is not None:
+        return math.fsum(q.argmin(lam).tolist())
+    return math.fsum(_finite_argmin(p, lam, i) for i, p in enumerate(problems))
 
 
 def _initial_bracket_halfwidth(problems):
@@ -76,9 +85,10 @@ def solve_centralized(problems, b=None, tol=BALANCE_TOL):
     m = _initial_bracket_halfwidth(problems)
     lam_lo, lam_hi = -m, m
     sweep = []  # (lam, g) pairs, for the monotonicity assertion
+    q = quadratic_arrays(problems)
 
     def g(lam):
-        val = _aggregate(problems, lam)
+        val = _aggregate(problems, q, lam)
         sweep.append((lam, val))
         return val
 

@@ -27,6 +27,7 @@ independent of the run length.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ from .objectives import primal_argmin, quadratic_arrays
 CSV_BLOCK_CELLS = 4096
 
 _TRACE_ROW = "%d,%d,%.17g,%.17g,%.17g\n"
+_TRACE_DTYPE = [("k", "i8"), ("node", "i8"), ("x", "f8"), ("lambda", "f8"), ("v", "f8")]
 _SUMMARY_ROW = "%d,%.17g,%.17g,%.17g\n"
 
 
@@ -62,7 +64,17 @@ def consensus_step(A, lams):
     lams = np.asarray(lams, dtype=float)
     if lams.shape != (a.shape[0],):
         raise ValueError(f"multiplier vector shape {lams.shape} does not match matrix {a.shape}")
-    return (a * lams).sum(axis=1)
+    return _average(a, lams, np.empty_like(a))
+
+
+def _average(a, lams, buf):
+    """``(a * lams).sum(axis=1)`` with the products written into ``buf``.
+
+    ``buf`` has ``a``'s shape and memory layout (:func:`numpy.empty_like`), so
+    the row sums see the same products in the same order as ``a * lams`` and
+    give its bits; :func:`run_dlm` reuses one ``buf`` for every round.
+    """
+    return np.multiply(a, lams, out=buf).sum(axis=1)
 
 
 def lagrangian_value(problems, x, mults):
@@ -185,66 +197,132 @@ class RunTrace:
         must appear exactly once. A row with the wrong number of fields, a
         malformed or non-finite number, a negative ``k``, an out-of-range node
         or a repeated row raises ValueError naming its line; a missing row
-        raises ValueError naming its cell.
+        raises ValueError naming its cell. Blank lines are skipped.
+
+        The body is read by one call to numpy's C text reader
+        (:func:`numpy.loadtxt`). Line numbers matter only in an error, so the
+        per-line scan (:func:`_scan_rows`) runs only when that reader rejects
+        the file or a line-naming check fails; it names the line and accepts
+        what the bulk reader is stricter about (whitespace-only lines, ``1_0``,
+        non-ASCII digits, integers beyond int64). Both feed the same checks.
         """
         problems = tuple(problems)
         n = len(problems)
-        linenos, ks, nodes, values = [], [], [], []
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "k,node,x,lambda,v":
                 raise ValueError(f"unexpected trace header {header!r}")
-            for lineno, raw in enumerate(fh, start=2):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                parts = raw.split(",")
-                if len(parts) != 5:
-                    raise ValueError(
-                        f"line {lineno}: malformed trace row {raw!r}: "
-                        f"expected 5 fields, got {len(parts)}"
-                    )
-                try:
-                    ks.append(int(parts[0]))
-                    nodes.append(int(parts[1]))
-                    values.append((float(parts[2]), float(parts[3]), float(parts[4])))
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: malformed trace row {raw!r}: {exc}") from None
-                linenos.append(lineno)
-        if not linenos:
-            raise ValueError("empty trace file")
-        ks = np.array(ks)
-        nodes = np.array(nodes)
-        values = np.array(values)
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            r = int(np.argmin(finite))
-            raise ValueError(f"line {linenos[r]}: non-finite value in trace row")
-        bad = (ks < 0) | (nodes < 0) | (nodes >= n)
-        if bad.any():
-            r = int(np.argmax(bad))
-            if ks[r] < 0:
-                raise ValueError(f"line {linenos[r]}: negative iteration k={ks[r]}")
-            raise ValueError(f"line {linenos[r]}: node index {nodes[r]} outside [0,{n})")
-        T = int(ks.max())
-        cells = ks * n + nodes
-        order = np.argsort(cells, kind="stable")
-        ordered = cells[order]
-        repeats = order[1:][ordered[1:] == ordered[:-1]]
-        if repeats.size:
-            r = int(repeats.min())  # first repeat in file order
-            raise ValueError(f"line {linenos[r]}: repeated row for k={ks[r]}, node={nodes[r]}")
-        # the cells are now distinct, so the first gap in their sorted order is
-        # the first missing one
-        gaps = np.flatnonzero(ordered != np.arange(cells.size))
-        if gaps.size or cells.size != (T + 1) * n:
-            k, i = divmod(int(gaps[0]) if gaps.size else cells.size, n)
-            raise ValueError(f"trace has no row for k={k}, node={i}")
-        data = np.empty((3, cells.size))
-        data[:, cells] = values.T
-        x, lam, v = (col.reshape(T + 1, n) for col in data)
+            rows = _load_rows(fh)
+        checked = None
+        if rows is not None:
+            cols = (rows["x"], rows["lambda"], rows["v"])
+            try:
+                checked = _trace_arrays(rows["k"], rows["node"], cols, None, n)
+            except _NeedLineNumbers:
+                pass  # the scan names the line
+        if checked is None:
+            checked = _trace_arrays(*_scan_rows(path), n)
+        x, lam, v = checked
         b = np.array([p.share for p in problems], dtype=float)
         return cls(problems=problems, b=b, schedule=schedule, x=x, lam=lam, v=v)
+
+
+class _NeedLineNumbers(Exception):
+    """A trace check failed on rows read without their line numbers."""
+
+
+def _load_rows(fh):
+    """The remaining rows of ``fh`` as one :data:`_TRACE_DTYPE` array, or None
+    when numpy's reader rejects them.
+
+    ``comments=None`` keeps ``#`` an ordinary, malformed character. The
+    reader's row index skips blank lines, so it is never used as a line
+    number. A deprecated conversion counts as a rejection (numpy < 2 parses
+    ``1.0`` as an integer with a DeprecationWarning; the per-line scan does
+    not accept it).
+    """
+    with warnings.catch_warnings():
+        # an empty body is reported by the checks
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(fh, delimiter=",", dtype=_TRACE_DTYPE, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None
+
+
+def _scan_rows(path):
+    """Parse the trace body line by line: ``(ks, nodes, cols, linenos)``.
+
+    Lines that are empty after stripping whitespace are skipped; a row with
+    the wrong number of fields or a malformed number raises ValueError naming
+    its line.
+    """
+    linenos, ks, nodes, values = [], [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()  # the header, already checked
+        for lineno, raw in enumerate(fh, start=2):
+            raw = raw.strip()
+            if not raw:
+                continue
+            parts = raw.split(",")
+            if len(parts) != 5:
+                raise ValueError(
+                    f"line {lineno}: malformed trace row {raw!r}: "
+                    f"expected 5 fields, got {len(parts)}"
+                )
+            try:
+                ks.append(int(parts[0]))
+                nodes.append(int(parts[1]))
+                values.append((float(parts[2]), float(parts[3]), float(parts[4])))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: malformed trace row {raw!r}: {exc}") from None
+            linenos.append(lineno)
+    return np.array(ks), np.array(nodes), np.array(values).T, linenos
+
+
+def _trace_arrays(ks, nodes, cols, linenos, n):
+    """Check the rows and scatter them into ``(x, lam, v)``, each ``(T + 1, n)``.
+
+    ``cols`` holds the ``x``, ``lambda`` and ``v`` columns in row order.
+    A check that names a line raises :class:`_NeedLineNumbers` when
+    ``linenos`` is None.
+    """
+
+    def reject(r, message):
+        if linenos is None:
+            raise _NeedLineNumbers
+        raise ValueError(f"line {linenos[r]}: {message}")
+
+    if len(ks) == 0:
+        raise ValueError("empty trace file")
+    finite = np.isfinite(cols[0]) & np.isfinite(cols[1]) & np.isfinite(cols[2])
+    if not finite.all():
+        reject(int(np.argmin(finite)), "non-finite value in trace row")
+    bad = (ks < 0) | (nodes < 0) | (nodes >= n)
+    if bad.any():
+        r = int(np.argmax(bad))
+        if ks[r] < 0:
+            reject(r, f"negative iteration k={ks[r]}")
+        reject(r, f"node index {nodes[r]} outside [0,{n})")
+    T = int(ks.max())
+    cells = ks * n + nodes
+    order = np.argsort(cells, kind="stable")
+    ordered = cells[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        r = int(repeats.min())  # first repeat in file order
+        reject(r, f"repeated row for k={ks[r]}, node={nodes[r]}")
+    # the cells are now distinct, so the first gap in their sorted order is
+    # the first missing one
+    gaps = np.flatnonzero(ordered != np.arange(cells.size))
+    if gaps.size or cells.size != (T + 1) * n:
+        k, i = divmod(int(gaps[0]) if gaps.size else cells.size, n)
+        raise ValueError(f"trace has no row for k={k}, node={i}")
+    data = np.empty((3, cells.size))
+    for row, col in zip(data, cols):
+        row[cells] = col
+    return tuple(row.reshape(T + 1, n) for row in data)
 
 
 def _require_finite(x_hist, lam_hist, v_hist):
@@ -294,12 +372,13 @@ def run_dlm(problems, A, sched, iters, init_lams=None):
     v_hist[0] = lam
 
     q = quadratic_arrays(problems)
+    buf = np.empty_like(a)
     # floating-point faults in the loop surface as non-finite iterates, which
     # the pass after it reports with their round
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(iters):
             a_k = alphas[k]
-            v = consensus_step(a, lam)
+            v = _average(a, lam, buf)
             if q is not None:
                 x = q.argmin(v)
             else:

@@ -26,6 +26,7 @@ from netalloc import (
     solve_centralized,
     weighted_consensus_bound,
 )
+from netalloc import oracle
 from netalloc.objectives import quadratic_arrays
 from conftest import SUITE_SEED, random_connected_graph, random_quadratic_instance
 
@@ -237,6 +238,14 @@ class TestVectorisedPaths:
         assert len(fast_report.gap_rows) == 4
         assert bits(fast_report.gap_rows) == bits(slow_report.gap_rows)
         assert bits(fast_report.min_gap) == bits(slow_report.min_gap)
+
+    def test_oracle_quadratic_aggregate_matches_per_node_path(self, rng):
+        problems, _ = random_quadratic_instance(rng, n=9)
+        q = quadratic_arrays(problems)
+        # interior multipliers, box-saturating ones and the bracket's powers of two
+        lams = [*rng.uniform(-10, 10, 50), *(s * 2.0**e for s in (-1, 1) for e in range(0, 60, 7))]
+        for lam in map(float, lams):
+            assert bits(oracle._aggregate(problems, q, lam)) == bits(oracle._aggregate(problems, None, lam))
 
     def test_zero_gamma_mix_takes_per_node_path(self, rng):
         problems, _ = random_quadratic_instance(rng, n=5)

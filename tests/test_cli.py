@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from netalloc import FeasibleInterval, GenericConvex, LocalProblem, Quadratic, cli
 from netalloc.cli import main
 
 RUN_FILES = ("trace.csv", "summary.csv", "oracle.csv", "alloc.svg", "multipliers.svg", "residual.svg")
@@ -134,6 +135,19 @@ class TestOracle:
         assert code == 0
         out = capsys.readouterr().out
         assert "lam_star=-2" in out
+
+    def test_non_finite_argmin_is_one_error_line(self, monkeypatch, capsys):
+        # the CLI builds quadratic costs only; swap in a NaN argmin oracle
+        def to_problems(case, shares):
+            box = FeasibleInterval(0.0, case.demand)
+            nan = GenericConvex(lambda x: x * x, lambda c, lo, hi: float("nan"))
+            return [LocalProblem(Quadratic(1.0, 0.0), box, 0.0), LocalProblem(nan, box, 0.0)]
+
+        monkeypatch.setattr(cli.case_io, "to_problems", to_problems)
+        code = run_cli("oracle", "--case", "builtin:ieee14")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: non-finite argmin x=nan at node 1 for multiplier lam=-601.0\n"
 
 
 class TestBounds:

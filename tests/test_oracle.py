@@ -7,6 +7,7 @@ import pytest
 
 from netalloc import (
     FeasibleInterval,
+    GenericConvex,
     InfeasibleTotal,
     LocalProblem,
     OracleSolution,
@@ -217,3 +218,27 @@ class TestRandomInstances:
         assert all(p.interval.contains(x) for p, x in zip(problems, sol.x_star))
         assert sol.residual <= 4.0
         assert sol.f_star <= brute_force_best(problems, 4.0, points=401) + 1e-6
+
+
+class TestNonFiniteArgmin:
+    # an argmin oracle's NaN passes the interval's clamp
+    NAN = GenericConvex(lambda x: x * x, lambda c, lo, hi: math.nan)
+
+    def problems(self, *costs):
+        return [LocalProblem(c, FeasibleInterval(-1.0, 1.0), 0.0) for c in costs]
+
+    def test_oracle_names_node_and_multiplier(self):
+        # the first evaluation is at the lower bracket end -(1 + 2*gamma*1) = -3
+        problems = self.problems(self.NAN, Quadratic(1.0, 0.0))
+        with pytest.raises(ValueError, match=r"^non-finite argmin x=nan at node 0 for multiplier lam=-3\.0$"):
+            solve_centralized(problems)
+
+    def test_oracle_names_first_bad_node(self):
+        problems = self.problems(Quadratic(1.0, 0.0), self.NAN, self.NAN)
+        with pytest.raises(ValueError, match=r"at node 1 for multiplier lam=-3\.0$"):
+            solve_centralized(problems)
+
+    def test_dual_value_names_multiplier(self):
+        (p,) = self.problems(self.NAN)
+        with pytest.raises(ValueError, match=r"^non-finite argmin x=nan for multiplier lam=2\.5$"):
+            dual_value(p, 2.5)

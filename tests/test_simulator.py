@@ -52,6 +52,19 @@ class TestConsensusStep:
         with pytest.raises(ValueError, match="shape"):
             consensus_step(AVG, np.zeros(3))
 
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_rounds_match_product_row_sums(self, layout):
+        # run_dlm reuses one product buffer; its row sums must give the bits of
+        # (a * lam).sum(axis=1) whatever the matrix's memory layout
+        rng = np.random.default_rng(11)  # private stream: the suite stream is unchanged
+        a = layout(metropolis_weights(random_connected_graph(rng, 40)).entries)
+        problems, _ = random_quadratic_instance(rng, 40)
+        trace = run_dlm(problems, a, RecipSqrt(), 30, init_lams=rng.uniform(-5, 5, 40))
+        for k in range(30):
+            expected = (a * trace.lam[k]).sum(axis=1)
+            assert trace.v[k + 1].tobytes() == expected.tobytes()
+            assert consensus_step(a, trace.lam[k]).tobytes() == expected.tobytes()
+
 
 def one_round(lam0, alpha, x1, share):
     """``lam(1)`` of one ``run_dlm`` round on two equal nodes whose argmin is ``x1``.
