@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import HypothesisViolation
 from .graphs import WeightMatrix
-from .objectives import dual_value, quadratic_arrays, subgradient_bound
+from .objectives import NodeCosts, subgradient_bound
 from .schedules import RecipSqrt
 
 GAP_NONNEGATIVITY_TOL = 1e-9
@@ -183,19 +183,14 @@ class BoundReport:
 
 
 def _dual_sum(problems):
-    """``lam -> sum_i q_i(lam)``, one ``fsum`` over the nodes' dual values.
-
-    On strictly convex quadratics the dual values are one numpy vector with
-    the bits of :func:`dual_value`; any other cost is evaluated per node.
-    """
-    q = quadratic_arrays(problems)
-    if q is None:
-        return lambda lam: math.fsum(dual_value(p, lam) for p in problems)
+    """``lam -> sum_i q_i(lam)``, one ``fsum`` over the nodes' dual values,
+    which have the bits of :func:`~netalloc.objectives.dual_value`."""
+    costs = NodeCosts(problems)
     shares = np.array([p.share for p in problems], dtype=float)
 
     def dual_sum(lam):
-        x_hat = q.argmin(lam)
-        return math.fsum((-(q.value(x_hat) + lam * (x_hat - shares))).tolist())
+        x_hat = costs.finite_argmin(lam)
+        return math.fsum((-(costs.value(x_hat) + lam * (x_hat - shares))).tolist())
 
     return dual_sum
 
@@ -207,8 +202,13 @@ def check_bounds(trace, problems, A, lamstar, checkpoints=None, consensus_upto=N
     ``consensus_upto`` (default: the whole trace). The weighted-consensus and
     dual-gap bounds apply only under the ``1/sqrt(k)`` schedule and are
     evaluated at ``checkpoints`` (default: powers of ten). Raises
-    :class:`HypothesisViolation` when no bound's hypotheses hold.
+    :class:`HypothesisViolation` when no bound's hypotheses hold, and
+    ValueError for a non-finite ``lamstar`` or a negative ``consensus_upto``.
     """
+    if not math.isfinite(lamstar):
+        raise ValueError(f"lamstar must be finite, got {float(lamstar)!r}")
+    if consensus_upto is not None and int(consensus_upto) < 0:
+        raise ValueError(f"consensus_upto must be nonnegative, got {int(consensus_upto)}")
     problems = tuple(problems)
     sched = trace.schedule
     _require_normalized(sched)

@@ -161,12 +161,32 @@ def _write_plots(outdir, trace):
     )
 
 
-def _cmd_run(args):
+def _set_up(args):
+    """The case, problems, Metropolis weights and schedule that ``run`` and ``bounds`` share."""
     case, synth_seed = _load_case_spec(args.case)
     problems = case_io.to_problems(case, _parse_shares(args.split, case))
     graph = _build_graph(args.graph, case, synth_seed, args.bus_lines)
-    weights = metropolis_weights(graph)
-    sched = parse_schedule(args.schedule)
+    return case, problems, metropolis_weights(graph), parse_schedule(args.schedule)
+
+
+def _check_bounds(args, trace, problems, weights, lamstar):
+    """Check the bounds against ``trace`` and write ``bounds.csv`` in ``args.out``."""
+    report = check_bounds(
+        trace,
+        problems,
+        weights,
+        lamstar,
+        checkpoints=_parse_checkpoints(args.checkpoints, trace.iterations),
+        consensus_upto=args.bounds_upto,
+    )
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    report.to_csv(outdir / "bounds.csv")
+    return report
+
+
+def _cmd_run(args):
+    case, problems, weights, sched = _set_up(args)
     trace = run_dlm(problems, weights, sched, args.iters)
 
     outdir = Path(args.out)
@@ -186,16 +206,7 @@ def _cmd_run(args):
     )
 
     if sched.normalized:
-        checkpoints = _parse_checkpoints(args.checkpoints, args.iters)
-        report = check_bounds(
-            trace,
-            problems,
-            weights,
-            sol.lam_star,
-            checkpoints=checkpoints,
-            consensus_upto=args.bounds_upto,
-        )
-        report.to_csv(outdir / "bounds.csv")
+        report = _check_bounds(args, trace, problems, weights, sol.lam_star)
         print(f"bounds: {report.summary_json()}")
     else:
         print(f"bounds: skipped (schedule {sched.name!r} has alpha(0) != 1)")
@@ -222,28 +233,13 @@ def _cmd_oracle(args):
 
 
 def _cmd_bounds(args):
-    case, synth_seed = _load_case_spec(args.case)
-    problems = case_io.to_problems(case, _parse_shares(args.split, case))
-    graph = _build_graph(args.graph, case, synth_seed, args.bus_lines)
-    weights = metropolis_weights(graph)
-    sched = parse_schedule(args.schedule)
+    case, problems, weights, sched = _set_up(args)
     trace = RunTrace.from_csv(args.trace, problems, sched)
     if args.lamstar is not None:
         lamstar = args.lamstar
     else:
         lamstar = solve_centralized(problems, case.demand).lam_star
-    checkpoints = _parse_checkpoints(args.checkpoints, trace.iterations)
-    report = check_bounds(
-        trace,
-        problems,
-        weights,
-        lamstar,
-        checkpoints=checkpoints,
-        consensus_upto=args.bounds_upto,
-    )
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    report.to_csv(outdir / "bounds.csv")
+    report = _check_bounds(args, trace, problems, weights, lamstar)
     print(report.summary_json())
     return 0 if report.all_satisfied else 1
 
@@ -279,16 +275,19 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="simulate a case and write traces, plots, and reports")
-    run.add_argument("--case", required=True, help="builtin:ieee14 | synth:SEED[:NGEN] | file:PATH")
-    run.add_argument("--graph", required=True, help="cycle | path | complete | file:PATH | bus-derived[:FILE]")
-    run.add_argument("--schedule", required=True, help="recip-sqrt | recip | powerlaw:C:P")
+    # the flags of the two commands that simulate or replay a trace
+    traced = argparse.ArgumentParser(add_help=False)
+    traced.add_argument("--case", required=True, help="builtin:ieee14 | synth:SEED[:NGEN] | file:PATH")
+    traced.add_argument("--graph", required=True, help="cycle | path | complete | file:PATH | bus-derived[:FILE]")
+    traced.add_argument("--schedule", required=True, help="recip-sqrt | recip | powerlaw:C:P")
+    traced.add_argument("--out", default="out", help="output directory (default: out)")
+    traced.add_argument("--split", default="equal", help="equal | explicit:v1,v2,...")
+    traced.add_argument("--checkpoints", default=None, help="comma-separated checkpoint iterations")
+    traced.add_argument("--bounds-upto", default=1000, type=int, help="per-iteration bound check horizon")
+    traced.add_argument("--bus-lines", default=None, help="bus-line edge-list file for bus-derived graphs")
+
+    run = sub.add_parser("run", parents=[traced], help="simulate a case and write traces, plots, and reports")
     run.add_argument("--iters", required=True, type=int)
-    run.add_argument("--out", default="out", help="output directory (default: out)")
-    run.add_argument("--split", default="equal", help="equal | explicit:v1,v2,...")
-    run.add_argument("--checkpoints", default=None, help="comma-separated checkpoint iterations")
-    run.add_argument("--bounds-upto", default=1000, type=int, help="per-iteration bound check horizon")
-    run.add_argument("--bus-lines", default=None, help="bus-line edge-list file for bus-derived graphs")
     run.set_defaults(func=_cmd_run)
 
     oracle = sub.add_parser("oracle", help="solve the centralized reference problem")
@@ -297,17 +296,11 @@ def build_parser():
     oracle.add_argument("--out", default=None, help="directory for oracle.csv (optional)")
     oracle.set_defaults(func=_cmd_oracle)
 
-    bounds = sub.add_parser("bounds", help="evaluate convergence bounds against a stored trace")
-    bounds.add_argument("--case", required=True)
-    bounds.add_argument("--graph", required=True)
-    bounds.add_argument("--schedule", required=True)
+    bounds = sub.add_parser(
+        "bounds", parents=[traced], help="evaluate convergence bounds against a stored trace"
+    )
     bounds.add_argument("--trace", required=True)
     bounds.add_argument("--lamstar", default=None, type=float, help="dual optimum (default: solve the oracle)")
-    bounds.add_argument("--split", default="equal")
-    bounds.add_argument("--out", default="out")
-    bounds.add_argument("--checkpoints", default=None)
-    bounds.add_argument("--bounds-upto", default=1000, type=int)
-    bounds.add_argument("--bus-lines", default=None)
     bounds.set_defaults(func=_cmd_bounds)
 
     case = sub.add_parser("case", help="case-file utilities")

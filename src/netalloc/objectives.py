@@ -8,6 +8,10 @@ problem
 
 whose minimizer feeds both the dual value ``q_i(v)`` and the dual subgradient
 ``b_i - x_hat``. All operations are pure and deterministic.
+
+:class:`NodeCosts` evaluates the costs and local problems of all nodes at
+once, for the simulator, the bounds and the oracle; it is the one place that
+chooses between numpy arrays (strictly convex quadratics) and per-node calls.
 """
 
 from __future__ import annotations
@@ -149,42 +153,70 @@ class LocalProblem:
             raise ValueError(f"share must be finite, got {self.share}")
 
 
-@dataclass(frozen=True)
-class QuadraticArrays:
-    """Per-node coefficient and interval arrays of strictly convex quadratics.
+class NodeCosts:
+    """Every node's cost and local primal step, evaluated over all nodes at once.
 
-    :meth:`value` and :meth:`argmin` broadcast over trailing node axes and
-    perform, element by element, the same IEEE operations in the same order as
-    :meth:`Quadratic.value` and :meth:`Quadratic.shifted_argmin` (``-v - beta``
-    equals ``-(beta + v)`` exactly), so they give the per-node results' bits.
+    The constructor decides once, from the problems, how: when every cost is a
+    :class:`Quadratic` with ``gamma > 0`` the methods are numpy expressions
+    over per-node coefficient arrays (:attr:`vectorised`); any other mix is
+    evaluated node by node with each cost's own methods. No other module
+    makes this choice.
+
+    The quadratic expressions perform, element by element, the same IEEE
+    operations in the same order as :meth:`Quadratic.value` and
+    :meth:`Quadratic.shifted_argmin`, so both paths give the per-node
+    results' bits (``-v - beta`` equals ``-(beta + v)`` except in the sign of
+    a zero). A caller that sums them with one ``math.fsum``, which is exact
+    whatever the order, gets the per-node sum's bits too.
     """
 
-    gamma: np.ndarray
-    beta: np.ndarray
-    mu: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    def __init__(self, problems):
+        self._problems = tuple(problems)
+        self.vectorised = all(
+            isinstance(p.cost, Quadratic) and p.cost.gamma > 0.0 for p in self._problems
+        )
+        if self.vectorised:
+            coefficients = [
+                (p.cost.gamma, p.cost.beta, p.cost.mu, p.interval.lo, p.interval.hi)
+                for p in self._problems
+            ]
+            columns = np.array(coefficients, dtype=float).reshape(-1, 5).T
+            self._gamma, self._beta, self._mu, self._lo, self._hi = np.ascontiguousarray(columns)
 
     def value(self, x):
-        return self.gamma * x * x + self.beta * x + self.mu
+        """``f_i(x_i)`` for an ``x`` whose last axis runs over the nodes."""
+        if self.vectorised:
+            return self._gamma * x * x + self._beta * x + self._mu
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        for row, dst in zip(x.reshape(-1, x.shape[-1]), out.reshape(-1, x.shape[-1])):
+            dst[:] = [p.cost.value(xi) for p, xi in zip(self._problems, row)]
+        return out
 
     def argmin(self, v):
-        return np.minimum(np.maximum((-v - self.beta) / (2.0 * self.gamma), self.lo), self.hi)
+        """Every node's :func:`primal_argmin`; ``v`` is one multiplier per node
+        or one scalar shared by every node."""
+        if self.vectorised:
+            return np.minimum(np.maximum((-v - self._beta) / (2.0 * self._gamma), self._lo), self._hi)
+        if np.ndim(v) == 0:
+            return np.array([primal_argmin(p, v) for p in self._problems], dtype=float)
+        return np.array([primal_argmin(p, vi) for p, vi in zip(self._problems, v)], dtype=float)
 
-
-def quadratic_arrays(problems):
-    """The problems' :class:`QuadraticArrays`, or None unless every cost is a
-    :class:`Quadratic` with ``gamma > 0``; other costs take the per-node path."""
-    problems = tuple(problems)
-    if not all(isinstance(p.cost, Quadratic) and p.cost.gamma > 0.0 for p in problems):
-        return None
-    return QuadraticArrays(
-        gamma=np.array([p.cost.gamma for p in problems], dtype=float),
-        beta=np.array([p.cost.beta for p in problems], dtype=float),
-        mu=np.array([p.cost.mu for p in problems], dtype=float),
-        lo=np.array([p.interval.lo for p in problems], dtype=float),
-        hi=np.array([p.interval.hi for p in problems], dtype=float),
-    )
+    def finite_argmin(self, lam):
+        """:meth:`argmin` at a shared multiplier ``lam``, or ValueError naming
+        the first node whose argmin is not finite and ``lam``: a
+        ``GenericConvex`` argmin oracle can return NaN, which the interval's
+        clamp lets through. Strictly convex quadratics have finite argmins at
+        a finite ``lam`` and are not checked."""
+        x = self.argmin(lam)
+        if not self.vectorised:
+            bad = ~np.isfinite(x)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(
+                    f"non-finite argmin x={float(x[i])} at node {i} for multiplier lam={lam!r}"
+                )
+        return x
 
 
 def primal_argmin(p, v):
@@ -197,17 +229,6 @@ def primal_argmin(p, v):
     return p.cost.shifted_argmin(v, p.interval)
 
 
-def _finite_argmin(p, v, node=None):
-    """:func:`primal_argmin`, or ValueError naming ``node`` (an index) and
-    ``v`` when it is not finite: a ``GenericConvex`` argmin oracle can return
-    NaN, which the interval's clamp lets through."""
-    x = primal_argmin(p, v)
-    if not math.isfinite(x):
-        at = "" if node is None else f" at node {node}"
-        raise ValueError(f"non-finite argmin x={x}{at} for multiplier lam={v!r}")
-    return x
-
-
 def dual_value(p, lam):
     """The node's convex dual piece ``q_i(lam)``.
 
@@ -215,7 +236,9 @@ def dual_value(p, lam):
     i.e. the negated node contribution to the dual function. A non-finite
     argmin raises ValueError naming the multiplier.
     """
-    x_hat = _finite_argmin(p, lam)
+    x_hat = primal_argmin(p, lam)
+    if not math.isfinite(x_hat):
+        raise ValueError(f"non-finite argmin x={x_hat} for multiplier lam={lam!r}")
     return -(p.cost.value(x_hat) + lam * (x_hat - p.share))
 
 

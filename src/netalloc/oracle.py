@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketFailure, InfeasibleTotal
-from .objectives import Quadratic, _finite_argmin, primal_argmin, quadratic_arrays
+from .objectives import NodeCosts, Quadratic, primal_argmin
 
 BALANCE_TOL = 1e-9
 MAX_BISECTIONS = 500
@@ -34,19 +34,6 @@ class OracleSolution:
 
     def __post_init__(self):
         self.x_star.setflags(write=False)
-
-
-def _aggregate(problems, q, lam):
-    """``g(lam)``, one ``fsum`` over the nodes' argmins.
-
-    On strictly convex quadratics (``q`` from
-    :func:`~netalloc.objectives.quadratic_arrays`) the argmins are one numpy
-    vector with the per-node bits. Otherwise a non-finite argmin raises
-    ValueError naming the first such node and the multiplier.
-    """
-    if q is not None:
-        return math.fsum(q.argmin(lam).tolist())
-    return math.fsum(_finite_argmin(p, lam, i) for i, p in enumerate(problems))
 
 
 def _initial_bracket_halfwidth(problems):
@@ -85,10 +72,11 @@ def solve_centralized(problems, b=None, tol=BALANCE_TOL):
     m = _initial_bracket_halfwidth(problems)
     lam_lo, lam_hi = -m, m
     sweep = []  # (lam, g) pairs, for the monotonicity assertion
-    q = quadratic_arrays(problems)
+    costs = NodeCosts(problems)
 
     def g(lam):
-        val = _aggregate(problems, q, lam)
+        # a non-finite argmin raises ValueError naming its node and lam
+        val = math.fsum(costs.finite_argmin(lam).tolist())
         sweep.append((lam, val))
         return val
 
@@ -128,8 +116,8 @@ def solve_centralized(problems, b=None, tol=BALANCE_TOL):
                 f"aggregate response not nonincreasing: g({l1})={g1}, g({l2})={g2}"
             )
 
-    x = np.array([primal_argmin(p, lam) for p in problems])
-    f = math.fsum(p.cost.value(x[i]) for i, p in enumerate(problems))
+    x = costs.argmin(lam)
+    f = math.fsum(costs.value(x).tolist())
     residual = abs(math.fsum(x.tolist()) - b)
     return OracleSolution(x_star=x, f_star=f, lam_star=float(lam), residual=residual)
 

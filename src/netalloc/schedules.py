@@ -1,17 +1,9 @@
 """Step-size schedules for the dual update.
 
 A schedule is a positive nonincreasing sequence ``alpha(k)`` consumed at round
-``k`` starting from 0. Two admissibility flags travel with each schedule:
-
-``robbins_monro``
-    The classic conditions for dual convergence hold: ``sum alpha = inf`` and
-    ``sum alpha**2 < inf``. The ``1/sqrt(k)`` schedule fails the second
-    condition and is flagged False even though the rate bound is stated for
-    it.
-``normalized``
-    ``alpha(0) == 1``, required verbatim by the consensus-error and rate
-    bounds. Non-normalized schedules still simulate fine; bound evaluation
-    refuses them.
+``k`` starting from 0. A schedule is ``normalized`` when ``alpha(0) == 1``,
+which the consensus-error and rate bounds require verbatim. Non-normalized
+schedules still simulate fine; bound evaluation refuses them.
 """
 
 from __future__ import annotations
@@ -25,7 +17,6 @@ class StepSchedule:
     """Base class; concrete schedules implement ``alpha(k)``."""
 
     name = "abstract"
-    robbins_monro = False
 
     def alpha(self, k):
         raise NotImplementedError
@@ -36,6 +27,8 @@ class StepSchedule:
 
     def alphas(self, count):
         """First ``count`` values as an array, validated finite, positive, nonincreasing."""
+        if count < 0:
+            raise ValueError(f"count must be nonnegative, got {count}")
         vals = np.array([self.alpha(k) for k in range(count)], dtype=float)
         # min and max are NaN when any value is, so NaN fails both comparisons
         if count and not (vals.min() > 0.0 and vals.max() < math.inf):
@@ -56,12 +49,10 @@ class StepSchedule:
 class RecipSqrt(StepSchedule):
     """``alpha(0) = 1``, ``alpha(k) = 1/sqrt(k)``.
 
-    The schedule of the rate bound. Its squared series diverges, so it is not
-    flagged admissible for plain dual convergence.
+    The schedule of the rate bound.
     """
 
     name = "recip-sqrt"
-    robbins_monro = False
 
     def alpha(self, k):
         return 1.0 if k == 0 else 1.0 / math.sqrt(k)
@@ -71,7 +62,6 @@ class Recip(StepSchedule):
     """``alpha(0) = 1``, ``alpha(k) = 1/k``."""
 
     name = "recip"
-    robbins_monro = True
 
     def alpha(self, k):
         return 1.0 if k == 0 else 1.0 / k
@@ -79,11 +69,9 @@ class Recip(StepSchedule):
 class PowerLaw(StepSchedule):
     """``alpha(0) = c``, ``alpha(k) = c / k**p`` with ``c > 0``, ``p in (0.5, 1]``.
 
-    The exponent range guarantees the series conditions; ``c != 1`` makes the
-    schedule non-normalized for bound checks.
+    The exponent range gives ``sum alpha = inf`` and ``sum alpha**2 < inf``;
+    ``c != 1`` makes the schedule non-normalized for bound checks.
     """
-
-    robbins_monro = True
 
     def __init__(self, c, p):
         c = float(c)
@@ -106,16 +94,13 @@ class PowerLaw(StepSchedule):
 class Custom(StepSchedule):
     """Schedule backed by a user sequence oracle ``fn(k) -> float``.
 
-    Whether the series conditions hold cannot be decided from an oracle, so
-    the caller declares ``robbins_monro``; positivity and monotonicity are
-    validated on the consumed prefix.
+    Positivity and monotonicity are validated on the consumed prefix.
     """
 
     name = "custom"
 
-    def __init__(self, fn, robbins_monro=False):
+    def __init__(self, fn):
         self._fn = fn
-        self.robbins_monro = bool(robbins_monro)
 
     def alpha(self, k):
         return float(self._fn(k))

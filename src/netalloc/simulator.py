@@ -11,14 +11,11 @@ dual piece ``q_i``, which drives the multiplier copies toward the common dual
 optimum while consensus keeps them together. Runs are bitwise deterministic:
 all reductions use fixed numpy pairwise summation.
 
-Vectorised paths. When every cost is a strictly convex quadratic
-(:func:`~netalloc.objectives.quadratic_arrays`), the primal step of a round and
-the cost and multiplier terms of :meth:`RunTrace.lagrangians` are numpy
-expressions over all nodes. They perform, element by element, the same IEEE
-operations in the same order as the per-node path, and each Lagrangian row is
-still one ``math.fsum`` over its nodes' terms, which is exact whatever the
-order; so both paths give the same bits. Any other cost takes the per-node
-path. The CSV writers format ``.tolist()`` slices of about
+The primal step of a round and the cost terms of :meth:`RunTrace.lagrangians`
+and :meth:`RunTrace.total_cost` go through
+:class:`~netalloc.objectives.NodeCosts`, which alone chooses between numpy
+arrays and per-node calls; each Lagrangian row is one ``math.fsum`` over its
+nodes' terms. The CSV writers format ``.tolist()`` slices of about
 :data:`CSV_BLOCK_CELLS` cells with one ``%``-template; ``"%.17g" % x`` gives
 the same text as ``format(x, ".17g")``, and blocking keeps peak memory
 independent of the run length.
@@ -33,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import WeightMatrix
-from .objectives import primal_argmin, quadratic_arrays
+from .objectives import NodeCosts
 
 # Cells (one node at one round) formatted or summed per block by the writers.
 CSV_BLOCK_CELLS = 4096
@@ -129,22 +126,17 @@ class RunTrace:
         """Monitored Lagrangian per row: ``L(x(k), lam(k-1))``, row 0 uses ``lam(0)``."""
         rows = self.x.shape[0]
         prev = np.maximum(np.arange(rows) - 1, 0)
-        q = quadratic_arrays(self.problems)
-        if q is None:
-            return np.array(
-                [lagrangian_value(self.problems, self.x[k], self.lam[j]) for k, j in enumerate(prev)]
-            )
+        costs = NodeCosts(self.problems)
         out = np.empty(rows)
         for k0, k1 in _row_blocks(rows, self.n):
             x = self.x[k0:k1]
-            terms = q.value(x) + self.lam[prev[k0:k1]] * (x - self.b)
+            terms = costs.value(x) + self.lam[prev[k0:k1]] * (x - self.b)
             out[k0:k1] = [math.fsum(row) for row in terms.tolist()]
         return out
 
     def total_cost(self, k=-1):
         """Total cost ``sum_i f_i(x_i(k))`` at row ``k`` (default: final row)."""
-        row = self.x[k]
-        return math.fsum(p.cost.value(row[i]) for i, p in enumerate(self.problems))
+        return math.fsum(NodeCosts(self.problems).value(self.x[k]).tolist())
 
     def time_weighted_averages(self, upto=None):
         """Per-node averages ``sum_{k<=K} alpha(k) lam_i(k) / sum alpha(k)``.
@@ -371,7 +363,7 @@ def run_dlm(problems, A, sched, iters, init_lams=None):
     lam_hist[0] = lam
     v_hist[0] = lam
 
-    q = quadratic_arrays(problems)
+    costs = NodeCosts(problems)
     buf = np.empty_like(a)
     # floating-point faults in the loop surface as non-finite iterates, which
     # the pass after it reports with their round
@@ -379,10 +371,7 @@ def run_dlm(problems, A, sched, iters, init_lams=None):
         for k in range(iters):
             a_k = alphas[k]
             v = _average(a, lam, buf)
-            if q is not None:
-                x = q.argmin(v)
-            else:
-                x = np.array([primal_argmin(p, v[i]) for i, p in enumerate(problems)])
+            x = costs.argmin(v)
             lam = v - a_k * (b - x)
             x_hist[k + 1] = x
             lam_hist[k + 1] = lam

@@ -21,13 +21,14 @@ from netalloc import (
     global_subgradient_bound,
     lagrangian_value,
     metropolis_weights,
+    primal_argmin,
     rate_bound,
     run_dlm,
     solve_centralized,
     weighted_consensus_bound,
 )
-from netalloc import oracle
-from netalloc.objectives import quadratic_arrays
+from netalloc.graphs import cycle_graph
+from netalloc.objectives import NodeCosts
 from conftest import SUITE_SEED, random_connected_graph, random_quadratic_instance
 
 
@@ -186,6 +187,31 @@ class TestCheckBounds:
         assert "# dual-gap" in lines
         assert lines[-1].startswith("# summary {")
 
+    def test_nan_argmin_names_node_and_multiplier(self):
+        box = FeasibleInterval(-1.0, 1.0)
+        problems = [LocalProblem(Quadratic(1.0, 0.0), box, 0.0) for _ in range(3)]
+        w = metropolis_weights(cycle_graph(3))
+        trace = run_dlm(problems, w, RecipSqrt(), 10)
+        problems[1] = LocalProblem(GenericConvex(lambda x: x * x, lambda c, lo, hi: math.nan), box, 0.0)
+        with pytest.raises(ValueError) as err:
+            check_bounds(trace, problems, w, 0.5)
+        assert str(err.value) == "non-finite argmin x=nan at node 1 for multiplier lam=0.5"
+
+    @pytest.mark.parametrize("lamstar", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_lamstar(self, lamstar):
+        problems = [make_problem(-1.0, 1.0, 0.0) for _ in range(3)]
+        w = metropolis_weights(cycle_graph(3))
+        trace = run_dlm(problems, w, RecipSqrt(), 10)
+        with pytest.raises(ValueError, match=rf"^lamstar must be finite, got {lamstar!r}$"):
+            check_bounds(trace, problems, w, lamstar)
+
+    def test_rejects_negative_horizon(self):
+        problems = [make_problem(-1.0, 1.0, 0.0) for _ in range(3)]
+        w = metropolis_weights(cycle_graph(3))
+        trace = run_dlm(problems, w, RecipSqrt(), 10)
+        with pytest.raises(ValueError, match=r"^consensus_upto must be nonnegative, got -5$"):
+            check_bounds(trace, problems, w, 0.0, consensus_upto=-5)
+
     def test_property_eq11_random_family(self, suite_rng):
         # spot family here; the acceptance suite runs the full 20x500 sweep
         for _ in range(6):
@@ -230,7 +256,7 @@ class TestVectorisedPaths:
         trace = run_dlm(problems, w, RecipSqrt(), 400)
         lamstar = solve_centralized(problems, total).lam_star
         generic = as_generic(problems)
-        assert quadratic_arrays(problems) is not None and quadratic_arrays(generic) is None
+        assert NodeCosts(problems).vectorised and not NodeCosts(generic).vectorised
         slow = dataclasses.replace(trace, problems=generic)
         assert bits(trace.lagrangians()) == bits(slow.lagrangians())
         fast_report = check_bounds(trace, problems, w, lamstar, checkpoints=[1, 7, 100, 400])
@@ -241,16 +267,17 @@ class TestVectorisedPaths:
 
     def test_oracle_quadratic_aggregate_matches_per_node_path(self, rng):
         problems, _ = random_quadratic_instance(rng, n=9)
-        q = quadratic_arrays(problems)
+        costs = NodeCosts(problems)
         # interior multipliers, box-saturating ones and the bracket's powers of two
         lams = [*rng.uniform(-10, 10, 50), *(s * 2.0**e for s in (-1, 1) for e in range(0, 60, 7))]
         for lam in map(float, lams):
-            assert bits(oracle._aggregate(problems, q, lam)) == bits(oracle._aggregate(problems, None, lam))
+            per_node = math.fsum(primal_argmin(p, lam) for p in problems)
+            assert bits(math.fsum(costs.finite_argmin(lam).tolist())) == bits(per_node)
 
     def test_zero_gamma_mix_takes_per_node_path(self, rng):
         problems, _ = random_quadratic_instance(rng, n=5)
         problems[2] = make_problem(-2.0, 6.0, problems[2].share, gamma=0.0, beta=0.3)
-        assert quadratic_arrays(problems) is None
+        assert not NodeCosts(problems).vectorised
         w = metropolis_weights(random_connected_graph(rng, 5))
         trace = run_dlm(problems, w, RecipSqrt(), 150)
         expected = [
@@ -258,6 +285,23 @@ class TestVectorisedPaths:
             for k in range(trace.x.shape[0])
         ]
         assert bits(trace.lagrangians()) == bits(expected)
+
+    @pytest.mark.parametrize("family", ["quadratic", "zero-gamma mix", "generic"])
+    def test_node_costs_match_per_node_functions(self, rng, family):
+        problems, _ = random_quadratic_instance(rng, n=6)
+        if family == "zero-gamma mix":
+            problems[4] = make_problem(-2.0, 6.0, problems[4].share, gamma=0.0, beta=0.3)
+        elif family == "generic":
+            problems = as_generic(problems)
+        costs = NodeCosts(problems)
+        assert costs.vectorised == (family == "quadratic")
+        x = rng.uniform(-6.0, 13.0, (5, 6))
+        expected = [[p.cost.value(row[i]) for i, p in enumerate(problems)] for row in x]
+        assert bits(costs.value(x)) == bits(expected)
+        v = rng.uniform(-8.0, 8.0, 6)
+        assert bits(costs.argmin(v)) == bits([primal_argmin(p, v[i]) for i, p in enumerate(problems)])
+        for lam in (float(rng.uniform(-8.0, 8.0)), 0.0, -0.3, 1e6):
+            assert bits(costs.argmin(lam)) == bits([primal_argmin(p, lam) for p in problems])
 
     def test_consensus_rows_match_direct_bound(self, rng):
         problems, total = random_quadratic_instance(rng, n=6)

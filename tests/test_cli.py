@@ -211,6 +211,36 @@ class TestBounds:
         assert err.startswith("error: ValueError: line 4: malformed trace row '1,x,1,2,3': ")
         assert "\n" not in err.strip("\n")
 
+    def test_negative_bound_horizon_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ("--case", "builtin:ieee14", "--graph", "cycle", "--schedule", "recip-sqrt")
+        code = run_cli("run", *argv, "--iters", "50", "--bounds-upto", "-5", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == "error: ValueError: consensus_upto must be nonnegative, got -5\n"
+        trace = str(out / "trace.csv")
+        code = run_cli("bounds", *argv, "--trace", trace, "--bounds-upto", "-3", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == "error: ValueError: consensus_upto must be nonnegative, got -3\n"
+        assert not (out / "bounds.csv").exists()
+
+    @pytest.mark.parametrize("lamstar", ["nan", "inf"])
+    def test_non_finite_lamstar_is_one_error_line(self, tmp_path, capsys, lamstar):
+        trace = self._run(tmp_path, "recip-sqrt") / "trace.csv"
+        out = tmp_path / "replay"
+        capsys.readouterr()
+        code = run_cli(
+            "bounds",
+            "--case", "builtin:ieee14",
+            "--graph", "cycle",
+            "--schedule", "recip-sqrt",
+            "--trace", str(trace),
+            "--lamstar", lamstar,
+            "--out", str(out),
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: ValueError: lamstar must be finite, got {lamstar}\n"
+        assert not (out / "bounds.csv").exists()
+
     def test_explicit_lamstar_and_checkpoint_one(self, tmp_path, capsys):
         out = self._run(tmp_path, "recip-sqrt")
         code = run_cli(

@@ -30,12 +30,6 @@ class TestValues:
 
 
 class TestFlags:
-    def test_robbins_monro_conditions(self):
-        # 1/sqrt(k) has a divergent squared series and is deliberately excluded
-        assert not RecipSqrt().robbins_monro
-        assert Recip().robbins_monro
-        assert PowerLaw(0.08, 0.85).robbins_monro
-
     def test_normalized_flag(self):
         assert RecipSqrt().normalized
         assert Recip().normalized
@@ -43,8 +37,7 @@ class TestFlags:
         assert not PowerLaw(0.08, 0.85).normalized
 
     def test_custom_flags(self):
-        s = Custom(lambda k: 1.0 / (k + 1), robbins_monro=True)
-        assert s.robbins_monro and s.normalized
+        assert Custom(lambda k: 1.0 / (k + 1)).normalized
         assert not Custom(lambda k: 0.5).normalized
 
 
@@ -64,6 +57,10 @@ class TestValidation:
     def test_custom_nonincreasing(self):
         with pytest.raises(ValueError, match="nonincreasing"):
             Custom(lambda k: float(k + 1)).alphas(3)
+
+    def test_rejects_negative_count(self):
+        with pytest.raises(ValueError, match=r"^count must be nonnegative, got -5$"):
+            RecipSqrt().alphas(-5)
 
     def test_alphas_prefix(self):
         np.testing.assert_allclose(
