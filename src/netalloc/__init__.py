@@ -47,16 +47,13 @@ from .errors import (
 from .graphs import (
     GraphTopology,
     WeightMatrix,
-    check_connected,
     complete_graph,
     cycle_graph,
     max_degree_weights,
     metropolis_weights,
     parse_edge_list,
-    parse_weight_matrix,
     path_graph,
     second_largest_singular_value,
-    serialize_edge_list,
     validate_weight_matrix,
 )
 from .objectives import (

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedGraph, FeasibilityError, ParseError, ShareSumMismatch
-from .graphs import GraphTopology, check_connected
+from .graphs import GraphTopology
 from .objectives import FeasibleInterval, LocalProblem, Quadratic
 
 CASE_HEADER = "id,bus,gamma,beta,mu,pmin,pmax"
@@ -69,11 +69,19 @@ class DispatchCase:
     name: str
 
     def __post_init__(self):
+        # the name is one metadata line of the case file, which strips it
+        if self.name != self.name.strip() or len(self.name.splitlines()) > 1:
+            raise ValueError(f"case name {self.name!r} must be one line without surrounding whitespace")
         ids = [g.id for g in self.generators]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate generator ids in case {self.name!r}")
-        total_min = math.fsum(g.pmin for g in self.generators)
-        total_max = math.fsum(g.pmax for g in self.generators)
+        try:
+            total_min = math.fsum(g.pmin for g in self.generators)
+            total_max = math.fsum(g.pmax for g in self.generators)
+        except OverflowError:
+            raise FeasibilityError(
+                f"case {self.name!r}: generator limits do not sum to a finite total"
+            ) from None
         if not (total_min <= self.demand <= total_max):
             raise FeasibilityError(
                 f"case {self.name!r}: demand {self.demand} outside achievable range "
@@ -369,7 +377,7 @@ def bus_derived_graph(case, bus_edges):
                 continue  # paths may not pass through another generator bus
             frontier.extend(adj.get(bus, ()))
     g = GraphTopology(n, edges)
-    if not check_connected(g):
+    if not g.connected:
         raise DisconnectedGraph(
             "bus network does not connect all generator buses; derived graph is disconnected"
         )

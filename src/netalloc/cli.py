@@ -258,8 +258,10 @@ def _cmd_case_validate(args):
 def _cmd_case_synth(args):
     case = case_io.synth_ieee118_style(args.seed, args.n_gen)
     out = Path(args.out) if args.out is not None else Path(f"synth-{args.seed}.csv")
-    case_io.save_case(case, out)
     lines_path = out.with_suffix(".lines")
+    if lines_path == out:
+        raise ValueError(f"--out {out} is also the path of its bus-lines file; use another suffix")
+    case_io.save_case(case, out)
     lines = case_io.synth_bus_lines(args.seed, args.n_gen)
     with open(lines_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# bus lines for {case.name}\n")

@@ -2,9 +2,12 @@
 
 The consensus step of the distributed solver averages neighbor values with a
 doubly stochastic matrix ``A`` whose sparsity matches an undirected connected
-graph. The key spectral quantity is ``sigma2``, the second-largest singular
-value of ``A``: disagreement between nodes decays like ``sigma2**k``. It is
-computed exactly, by a dense SVD of ``A``, at every order.
+graph. :class:`GraphTopology` holds that graph as one sorted array of edges
+``i < j`` and learns whether it is connected once, when it is built; the
+weight functions fill and check their matrices from that array. The key
+spectral quantity is ``sigma2``, the second-largest singular value of ``A``:
+disagreement between nodes decays like ``sigma2**k``. It is computed exactly,
+by a dense SVD of ``A``, at every order.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from .errors import (
 STOCHASTIC_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphTopology:
-    """Undirected simple graph on nodes ``0 .. n-1``.
+    """Undirected simple graph on nodes ``0 .. n-1``, held as sorted edge arrays.
 
     Parameters
     ----------
@@ -36,55 +39,73 @@ class GraphTopology:
         Node count, at least 2. Single-node systems degenerate to a
         centralized dual method and are rejected here.
     edges : iterable of (int, int)
-        Unordered node pairs; self-loops and duplicates are rejected.
+        Unordered node pairs. The first self-loop, out-of-range pair or
+        duplicate, in input order, raises ``ValueError``.
+
+    Attributes
+    ----------
+    edges : ndarray
+        Read-only ``(m, 2)`` int array of the pairs ``i < j``, sorted.
+    connected : bool
+        Whether every node is reachable from node 0, found once, here.
     """
 
     n: int
-    edges: frozenset
+    edges: np.ndarray
+    connected: bool
 
     def __init__(self, n, edges):
         n = int(n)
         if n < 2:
             raise ValueError(f"graph needs at least 2 nodes, got {n}")
-        normalized = set()
-        for pair in edges:
-            i, j = int(pair[0]), int(pair[1])
+        pairs = [(int(p[0]), int(p[1])) for p in edges]
+        try:
+            ij = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:  # an index beyond int64 is out of range: mark its pair bad
+            ij = np.array([(i, j) if max(abs(i), abs(j)) < n else (-1, -1) for i, j in pairs])
+        lo, hi = ij.min(axis=1), ij.max(axis=1)
+        keys, first = np.unique(lo * n + hi, return_index=True)
+        bad = np.ones(len(pairs), dtype=bool)  # a repeat, unless it is the first pair of its key
+        bad[first] = False
+        bad |= (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():
+            i, j = pairs[int(np.argmax(bad))]
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i},{j}) outside node range [0,{n})")
-            key = (min(i, j), max(i, j))
-            if key in normalized:
-                raise ValueError(f"duplicate edge {key}")
-            normalized.add(key)
+            raise ValueError(f"duplicate edge {(min(i, j), max(i, j))}")
+        edges = np.stack(np.divmod(keys, n), axis=1)
+        edges.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(normalized))
-
-    def neighbors(self, i):
-        """Sorted neighbor list of node ``i``."""
-        out = [b if a == i else a for (a, b) in self.edges if i in (a, b)]
-        return sorted(out)
-
-    def degree(self, i):
-        return sum(1 for (a, b) in self.edges if i in (a, b))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "connected", _connected(n, edges))
 
     def degrees(self):
-        d = [0] * self.n
-        for a, b in self.edges:
-            d[a] += 1
-            d[b] += 1
-        return d
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
-    def adjacency(self):
-        """Boolean adjacency matrix (no self-loops)."""
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        for a, b in self.edges:
-            adj[a, b] = True
-            adj[b, a] = True
-        return adj
 
-    def has_edge(self, i, j):
-        return (min(i, j), max(i, j)) in self.edges
+def _connected(n, edges):
+    """True iff label propagation gives every node the label 0.
+
+    Each label names a root node, whose own label is itself. A pass lowers
+    each root's label to the smallest root across its edges, then follows
+    labels until every node holds its new root (hook and compress, after
+    Shiloach and Vishkin), so labels only fall and a component settles on its
+    smallest node. A randomly numbered path of 10**5 nodes takes 11 passes.
+    """
+    i, j = edges.T
+    label = np.arange(n)
+    while True:
+        li, lj = label[i], label[j]
+        new = label.copy()
+        np.minimum.at(new, li, lj)
+        np.minimum.at(new, lj, li)
+        while not (new[new] == new).all():
+            new = new[new]
+        if (new == label).all():
+            return not label.any()
+        label = new
 
 
 def cycle_graph(n):
@@ -127,28 +148,6 @@ def parse_edge_list(text, n=None):
     return GraphTopology(top if n is None else n, edges)
 
 
-def serialize_edge_list(g):
-    lines = [f"{i} {j}" for i, j in sorted(g.edges)]
-    return "\n".join(lines) + "\n"
-
-
-def check_connected(g):
-    """True iff a traversal from node 0 reaches all ``n`` nodes."""
-    seen = {0}
-    stack = [0]
-    neigh = {i: [] for i in range(g.n)}
-    for a, b in g.edges:
-        neigh[a].append(b)
-        neigh[b].append(a)
-    while stack:
-        u = stack.pop()
-        for v in neigh[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
-
-
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """Validated doubly stochastic consensus matrix with its spectral gap.
@@ -178,30 +177,26 @@ def metropolis_weights(g):
     the remainder, which yields a symmetric doubly stochastic matrix with a
     strictly positive diagonal using only local degree information.
     """
-    if not check_connected(g):
+    if not g.connected:
         raise DisconnectedGraph("metropolis weights require a connected graph")
     deg = g.degrees()
+    i, j = g.edges.T
     a = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        a[i, j] = w
-        a[j, i] = w
-    for i in range(g.n):
-        a[i, i] = 1.0 - math.fsum(a[i].tolist())  # a[i, i] is still 0 here
+    a[i, j] = a[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    a[np.diag_indices(g.n)] = [1.0 - math.fsum(row.tolist()) for row in a]  # diagonal still 0
     return validate_weight_matrix(a, g)
 
 
 def max_degree_weights(g):
     """Lazy max-degree weights: ``1 / (2 * max_degree)`` on every edge."""
-    if not check_connected(g):
+    if not g.connected:
         raise DisconnectedGraph("max-degree weights require a connected graph")
     deg = g.degrees()
-    w = 1.0 / (2.0 * max(deg))
+    w = 1.0 / (2.0 * deg.max())
+    i, j = g.edges.T
     a = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        a[i, j] = w
-        a[j, i] = w
-    a[np.diag_indices(g.n)] = 1.0 - np.asarray(deg) * w
+    a[i, j] = a[j, i] = w
+    a[np.diag_indices(g.n)] = 1.0 - deg * w
     return validate_weight_matrix(a, g)
 
 
@@ -227,7 +222,9 @@ def validate_weight_matrix(entries, g):
     if bad_diag.any():
         i = int(np.argmax(bad_diag))
         raise ZeroDiagonal(i, a[i, i])
-    adj = g.adjacency()
+    i, j = g.edges.T
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    adj[i, j] = adj[j, i] = True
     off_edge = ~adj
     np.fill_diagonal(off_edge, False)
     bad = (adj & ~(a > 0.0)) | (off_edge & (a != 0.0))
@@ -235,25 +232,6 @@ def validate_weight_matrix(entries, g):
         i, j = divmod(int(np.argmax(bad)), g.n)  # first violation in row-major order
         raise SparsityMismatch(i, j, a[i, j], bool(adj[i, j]))
     return WeightMatrix(g.n, a.copy(), second_largest_singular_value(a))
-
-
-def parse_weight_matrix(text):
-    """Parse a weight-matrix file: ``n`` lines of ``n`` space-separated decimals."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split()])
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed decimal in {raw!r}") from None
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty weight-matrix file")
-    if any(len(r) != n for r in rows):
-        raise ValueError(f"expected a square matrix, got row lengths {[len(r) for r in rows]}")
-    return np.array(rows, dtype=float)
 
 
 def second_largest_singular_value(a):

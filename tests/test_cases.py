@@ -3,14 +3,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netalloc import (
+    DispatchCase,
     FeasibilityError,
+    GeneratorRecord,
     ParseError,
     ShareSumMismatch,
     builtin_ieee14,
     bus_derived_graph,
-    check_connected,
     parse_bus_lines,
     parse_case,
     serialize_case,
@@ -25,7 +28,30 @@ from netalloc.cases import (
     SYNTH_MU_RANGE,
     SYNTH_PMAX_RANGE,
     SYNTH_PMIN_RANGE,
+    serialize_bus_lines,
 )
+
+# deterministic examples and no example database, so the suite stays reproducible
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+# bounded so that every sum of limits stays finite
+VALUES = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+@st.composite
+def feasible_cases(draw):
+    """A feasible case whose name is one line without surrounding whitespace."""
+    ids = draw(st.lists(st.integers(), max_size=8, unique=True))
+    gens = []
+    for gid in ids:
+        pmin, pmax = sorted(draw(st.tuples(VALUES, VALUES)))
+        gamma = draw(st.floats(min_value=0.0, max_value=1e300))
+        gens.append(GeneratorRecord(gid, draw(st.integers()), gamma, draw(VALUES), draw(VALUES), pmin, pmax))
+    lo = math.fsum(g.pmin for g in gens)
+    hi = math.fsum(g.pmax for g in gens)
+    demand = min(max(lo + draw(st.floats(0.0, 1.0)) * (hi - lo), lo), hi)
+    name = draw(st.text().filter(lambda s: s == s.strip() and len(s.splitlines()) <= 1))
+    return DispatchCase(generators=tuple(gens), demand=demand, name=name)
 
 VALID_TEXT = """# demand=300 name=ieee14
 id,bus,gamma,beta,mu,pmin,pmax
@@ -94,6 +120,11 @@ class TestParseCase:
         with pytest.raises(FeasibilityError):
             parse_case(VALID_TEXT.replace("demand=300", "demand=1000"))
 
+    def test_limits_beyond_float_range_are_infeasible(self):
+        text = "# demand=1 name=big\nid,bus,gamma,beta,mu,pmin,pmax\n1,1,0,0,0,0,1e308\n2,2,0,0,0,0,1e308\n"
+        with pytest.raises(FeasibilityError, match="^case 'big': generator limits do not sum to a finite total$"):
+            parse_case(text)
+
     def test_wrong_header(self):
         with pytest.raises(ParseError, match="header"):
             parse_case("# demand=10 name=t\nid,gamma\n")
@@ -114,6 +145,26 @@ class TestRoundTrip:
     def test_preserves_values(self):
         case = parse_case(serialize_case(builtin_ieee14()))
         assert case == builtin_ieee14()
+
+    @SETTINGS
+    @given(feasible_cases())
+    def test_generated_cases_round_trip(self, case):
+        assert parse_case(serialize_case(case)) == case
+
+    @SETTINGS
+    @given(st.lists(st.tuples(st.integers(), st.integers()).filter(lambda p: p[0] != p[1]).map(sorted).map(tuple)))
+    def test_bus_lines_round_trip(self, pairs):
+        assert parse_bus_lines(serialize_bus_lines(pairs)) == sorted(set(pairs))
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\r\nb", "a\x85b", "a\x1db", "a\u2028b", " a", "a\t", "\n"])
+    def test_rejects_name_that_is_not_one_stripped_line(self, name):
+        with pytest.raises(ValueError, match="one line without surrounding whitespace"):
+            DispatchCase(generators=(), demand=0.0, name=name)
+
+    @pytest.mark.parametrize("name", ["", "a b", "ieee14", "x#y name=z"])
+    def test_accepts_one_stripped_line(self, name):
+        case = DispatchCase(generators=(), demand=0.0, name=name)
+        assert parse_case(serialize_case(case)) == case
 
 
 class TestBuiltinCase:
@@ -207,7 +258,7 @@ class TestBusDerivedGraph:
             "3,5,0.1,1.0,0.0,0.0,2.0\n"
         )
         g = bus_derived_graph(case, [(1, 2), (2, 3), (3, 4), (4, 5)])
-        assert g.edges == frozenset({(0, 1), (1, 2)})
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_detour_creates_edge(self):
         # extra generator-free path 1-6-5 links the endpoint generators directly
@@ -219,7 +270,7 @@ class TestBusDerivedGraph:
             "3,5,0.1,1.0,0.0,0.0,2.0\n"
         )
         g = bus_derived_graph(case, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (6, 5)])
-        assert g.edges == frozenset({(0, 1), (1, 2), (0, 2)})
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_colocated_generators_adjacent(self):
         case = parse_case(
@@ -229,13 +280,13 @@ class TestBusDerivedGraph:
             "2,1,0.1,1.0,0.0,0.0,2.0\n"
         )
         g = bus_derived_graph(case, [(1, 2)])
-        assert g.has_edge(0, 1)
+        assert g.edges.tolist() == [[0, 1]]
 
     def test_synth_layout_connected(self):
         for seed in (1, 5, 9):
             case = synth_ieee118_style(seed)
             g = bus_derived_graph(case, synth_bus_lines(seed))
-            assert check_connected(g)
+            assert g.connected
 
 
 class TestBusLinesFormat:

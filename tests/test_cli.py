@@ -278,6 +278,27 @@ class TestCaseCommands:
         # the written case round-trips through validate
         assert run_cli("case", "validate", str(out)) == 0
 
+    @pytest.mark.parametrize("command", [("case", "validate"), ("oracle", "--case")])
+    def test_limits_beyond_float_range_are_one_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "big.csv"
+        path.write_text("# demand=1 name=big\nid,bus,gamma,beta,mu,pmin,pmax\n1,1,0.1,1,0,0,1e308\n2,2,0.1,1,0,0,1e308\n")
+        assert run_cli(*command, str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: FeasibilityError: case 'big': generator limits do not sum to a finite total\n"
+        )
+
+    def test_synth_rejects_out_that_is_its_own_lines_file(self, tmp_path, capsys):
+        out = tmp_path / "case.lines"
+        assert run_cli("case", "synth", "--seed", "1", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ValueError: --out {out} is also the path of its bus-lines file; use another suffix\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_synth_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -12,19 +12,16 @@ from netalloc import (
     RowSumViolation,
     SparsityMismatch,
     ZeroDiagonal,
-    check_connected,
     complete_graph,
     cycle_graph,
     max_degree_weights,
     metropolis_weights,
     parse_edge_list,
-    parse_weight_matrix,
     path_graph,
     second_largest_singular_value,
-    serialize_edge_list,
     validate_weight_matrix,
 )
-from conftest import random_connected_graph
+from conftest import SUITE_SEED, random_connected_graph
 
 
 def eigvalsh_sigma2(a):
@@ -52,22 +49,22 @@ class TestGraphTopology:
 
     def test_degrees_and_neighbors(self):
         g = path_graph(3)
-        assert g.degrees() == [1, 2, 1]
-        assert g.neighbors(1) == [0, 2]
+        assert g.degrees().tolist() == [1, 2, 1]
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
 
 class TestConnectivity:
     def test_path_connected(self):
-        assert check_connected(path_graph(3))
+        assert path_graph(3).connected
 
     def test_isolated_node(self):
-        assert not check_connected(GraphTopology(3, [(0, 1)]))
+        assert not GraphTopology(3, [(0, 1)]).connected
 
     def test_five_node_cycle(self):
-        assert check_connected(cycle_graph(5))
+        assert cycle_graph(5).connected
 
     def test_two_node_cycle_is_single_edge(self):
-        assert cycle_graph(2).edges == frozenset({(0, 1)})
+        assert cycle_graph(2).edges.tolist() == [[0, 1]]
 
 
 class TestMetropolisWeights:
@@ -224,18 +221,157 @@ class TestFileFormats:
     def test_edge_list_round_trip(self):
         text = "# a comment\n0 1\n\n1 2\n"
         g = parse_edge_list(text)
-        assert g.n == 3 and g.edges == path_graph(3).edges
-        assert parse_edge_list(serialize_edge_list(g)).edges == g.edges
+        assert g.n == 3 and g.edges.tolist() == path_graph(3).edges.tolist()
+        written = "".join(f"{j} {i}\n" for i, j in g.edges.tolist())
+        assert parse_edge_list(written).edges.tolist() == g.edges.tolist()
 
     def test_edge_list_bad_token(self):
         with pytest.raises(ValueError, match="non-integer"):
             parse_edge_list("0 x\n")
 
-    def test_weight_matrix_file(self):
-        a = parse_weight_matrix("0.5 0.5\n0.5 0.5\n")
-        w = validate_weight_matrix(a, GraphTopology(2, [(0, 1)]))
-        assert w.sigma2 == pytest.approx(0.0, abs=1e-12)
 
-    def test_weight_matrix_not_square(self):
-        with pytest.raises(ValueError, match="square"):
-            parse_weight_matrix("0.5 0.5\n")
+def reference_edges(n, edges):
+    """The per-pair loop ``GraphTopology`` ran before its edge arrays: sorted pairs."""
+    normalized = set()
+    for pair in edges:
+        i, j = int(pair[0]), int(pair[1])
+        if i == j:
+            raise ValueError(f"self-loop at node {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i},{j}) outside node range [0,{n})")
+        key = (min(i, j), max(i, j))
+        if key in normalized:
+            raise ValueError(f"duplicate edge {key}")
+        normalized.add(key)
+    return sorted(normalized)
+
+
+def reference_connected(n, edges):
+    """The traversal from node 0 that ``check_connected`` ran."""
+    neigh = [[] for _ in range(n)]
+    for a, b in edges:
+        neigh[a].append(b)
+        neigh[b].append(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for v in neigh[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == n
+
+
+def reference_degrees(n, edges):
+    """The per-edge loop ``GraphTopology.degrees`` ran before its edge arrays."""
+    deg = [0] * n
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    return deg
+
+
+def reference_metropolis(n, edges):
+    """The per-edge loop ``metropolis_weights`` ran before its edge arrays."""
+    deg = reference_degrees(n, edges)
+    a = np.zeros((n, n))
+    for i, j in edges:
+        w = 1.0 / (1.0 + max(deg[i], deg[j]))
+        a[i, j] = w
+        a[j, i] = w
+    for i in range(n):
+        a[i, i] = 1.0 - math.fsum(a[i].tolist())  # a[i, i] is still 0 here
+    return a
+
+
+def reference_max_degree(n, edges):
+    """The per-edge loop ``max_degree_weights`` ran before its edge arrays."""
+    deg = reference_degrees(n, edges)
+    w = 1.0 / (2.0 * max(deg))
+    a = np.zeros((n, n))
+    for i, j in edges:
+        a[i, j] = w
+        a[j, i] = w
+    a[np.diag_indices(n)] = 1.0 - np.asarray(deg) * w
+    return a
+
+
+def random_edge_list(rng):
+    """``(n, pairs)``: random pairs in both orientations, some with a fault.
+
+    Faults are self-loops, out-of-range ends (including ends beyond int64) and
+    repeats of an earlier pair in either orientation.
+    """
+    n = int(rng.integers(2, 13))
+    density = rng.uniform(0.05, 0.9)
+    pairs = [
+        (j, i) if rng.random() < 0.5 else (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+    for _ in range(int(rng.integers(0, 4)) if rng.random() < 0.5 else 0):
+        at = int(rng.integers(0, len(pairs) + 1))
+        kind = int(rng.integers(0, 3))
+        i = int(rng.integers(0, n))
+        if kind == 0:
+            v = [i, i, n, 2**70][int(rng.integers(0, 4))]
+            fault = (v, v)
+        elif kind == 1:
+            end = [-1, n, n + 7, -n, 2**64, -(2**63) - 1][int(rng.integers(0, 6))]
+            fault = (i, end) if rng.random() < 0.5 else (end, i)
+        elif at > 0:
+            a, b = pairs[int(rng.integers(0, at))]
+            fault = (b, a) if rng.random() < 0.5 else (a, b)
+        else:
+            continue
+        pairs.insert(at, fault)
+    return n, pairs
+
+
+class TestEdgeArraysMatchReferences:
+    """``GraphTopology`` and both weight functions against their old loops."""
+
+    def test_random_edge_lists(self):
+        rng = np.random.default_rng(SUITE_SEED + 7)  # private stream
+        outcomes = {"error": 0, "connected": 0, "disconnected": 0}
+        for _ in range(1500):
+            n, pairs = random_edge_list(rng)
+            try:
+                expected = reference_edges(n, pairs)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    GraphTopology(n, pairs)
+                assert str(err.value) == str(exc)
+                outcomes["error"] += 1
+                continue
+            g = GraphTopology(n, pairs)
+            assert g.edges.tolist() == [list(e) for e in expected]
+            assert g.edges.shape == (len(expected), 2) and not g.edges.flags.writeable
+            assert g.degrees().tolist() == reference_degrees(n, expected)
+            assert g.connected == reference_connected(n, expected)
+            if g.connected:
+                outcomes["connected"] += 1
+                entries = metropolis_weights(g).entries
+                assert entries.tobytes() == reference_metropolis(n, expected).tobytes()
+                entries = max_degree_weights(g).entries
+                assert entries.tobytes() == reference_max_degree(n, expected).tobytes()
+            else:
+                outcomes["disconnected"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 257])
+    def test_relabelled_paths_and_cycles(self, n):
+        rng = np.random.default_rng([SUITE_SEED, n])  # private stream
+        label = rng.permutation(n).tolist()
+        path = [(label[k], label[k + 1]) for k in range(n - 1)]
+        assert GraphTopology(n, path).connected
+        for cut in {0, (n - 1) // 2, n - 2}:
+            assert not GraphTopology(n, path[:cut] + path[cut + 1 :]).connected
+        if n > 2:
+            cycle = path + [(label[-1], label[0])]
+            g = GraphTopology(n, cycle)
+            assert g.connected and reference_connected(n, g.edges.tolist())
+            entries = metropolis_weights(g).entries
+            assert entries.tobytes() == reference_metropolis(n, g.edges.tolist()).tobytes()
