@@ -15,6 +15,7 @@ reported with their line number.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedGraph, FeasibilityError, ParseError, ShareSumMismatch
-from .graphs import GraphTopology
+from .graphs import GraphTopology, component_labels
 from .objectives import FeasibleInterval, LocalProblem, Quadratic
 
 CASE_HEADER = "id,bus,gamma,beta,mu,pmin,pmax"
@@ -52,6 +53,9 @@ class GeneratorRecord:
     pmax: float
 
     def __post_init__(self):
+        for field in ("gamma", "beta", "mu", "pmin", "pmax"):
+            if not math.isfinite(getattr(self, field)):
+                raise ValueError(f"generator {self.id}: {field} must be finite, got {getattr(self, field)}")
         if self.gamma < 0.0:
             raise ValueError(f"generator {self.id}: gamma must be nonnegative, got {self.gamma}")
         if self.pmin > self.pmax:
@@ -72,6 +76,8 @@ class DispatchCase:
         # the name is one metadata line of the case file, which strips it
         if self.name != self.name.strip() or len(self.name.splitlines()) > 1:
             raise ValueError(f"case name {self.name!r} must be one line without surrounding whitespace")
+        if not math.isfinite(self.demand):
+            raise ValueError(f"case {self.name!r}: demand must be finite, got {self.demand}")
         ids = [g.id for g in self.generators]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate generator ids in case {self.name!r}")
@@ -209,15 +215,49 @@ def builtin_ieee14():
     return DispatchCase(generators=gens, demand=300.0, name="ieee14")
 
 
-def _synth_layout(seed, n_gen):
-    """Deterministic bus placement and line network for a synthetic case.
+def _synth_buses(seed, n_gen):
+    """``(rng, n_bus, gen_buses)``: the layout RNG, bus count and sorted generator buses.
 
-    Uses an RNG stream separate from the coefficient stream so the electrical
-    layout does not perturb sampled cost data.
+    The generator buses are the first draw of the layout RNG, a stream separate
+    from the coefficient stream so the layout does not perturb sampled cost data.
     """
     rng = np.random.default_rng([int(seed), 1])
     n_bus = max(n_gen + 2, int(round(n_gen * SYNTH_BASE_BUSES / SYNTH_BASE_GENERATORS)))
     gen_buses = np.sort(rng.choice(np.arange(1, n_bus + 1), size=n_gen, replace=False))
+    return rng, n_bus, gen_buses.tolist()
+
+
+def synth_ieee118_style(seed, n_gen=SYNTH_BASE_GENERATORS):
+    """Deterministic synthetic case in the benchmark coefficient ranges.
+
+    Demand scales proportionally when ``n_gen`` differs from the base 54.
+    Sampling retries a bounded number of times if the drawn limits cannot meet
+    the demand.
+    """
+    n_gen = int(n_gen)
+    if n_gen < 1:
+        raise ValueError(f"need at least one generator, got {n_gen}")
+    demand = SYNTH_BASE_DEMAND * n_gen / SYNTH_BASE_GENERATORS
+    gen_buses = _synth_buses(seed, n_gen)[2]
+    rng = np.random.default_rng([int(seed), 0])
+    for _ in range(100):
+        gamma = rng.uniform(*SYNTH_GAMMA_RANGE, n_gen)
+        beta = rng.uniform(*SYNTH_BETA_RANGE, n_gen)
+        mu = rng.uniform(*SYNTH_MU_RANGE, n_gen)
+        pmin = rng.uniform(*SYNTH_PMIN_RANGE, n_gen)
+        pmax = rng.uniform(*SYNTH_PMAX_RANGE, n_gen)
+        if math.fsum(pmin) <= demand <= math.fsum(pmax):
+            rows = zip(gen_buses, *(a.tolist() for a in (gamma, beta, mu, pmin, pmax)))
+            gens = tuple(GeneratorRecord(i, *row) for i, row in enumerate(rows, start=1))
+            return DispatchCase(generators=gens, demand=demand, name=f"synth-{int(seed)}")
+    raise FeasibilityError(
+        f"could not sample limits meeting demand {demand} after 100 attempts (seed {seed})"
+    )
+
+
+def synth_bus_lines(seed, n_gen=SYNTH_BASE_GENERATORS):
+    """Bus-line edge list matching :func:`synth_ieee118_style` for the same seed."""
+    rng, n_bus, _ = _synth_buses(seed, int(n_gen))
     order = rng.permutation(np.arange(1, n_bus + 1))
     edges = set()
     for idx in range(1, n_bus):
@@ -235,51 +275,7 @@ def _synth_layout(seed, n_gen):
         if key not in edges:
             edges.add(key)
             extra -= 1
-    return [int(bus) for bus in gen_buses], sorted(edges)
-
-
-def synth_ieee118_style(seed, n_gen=SYNTH_BASE_GENERATORS):
-    """Deterministic synthetic case in the benchmark coefficient ranges.
-
-    Demand scales proportionally when ``n_gen`` differs from the base 54.
-    Sampling retries a bounded number of times if the drawn limits cannot meet
-    the demand.
-    """
-    n_gen = int(n_gen)
-    if n_gen < 1:
-        raise ValueError(f"need at least one generator, got {n_gen}")
-    demand = SYNTH_BASE_DEMAND * n_gen / SYNTH_BASE_GENERATORS
-    gen_buses, _ = _synth_layout(seed, n_gen)
-    rng = np.random.default_rng([int(seed), 0])
-    for _ in range(100):
-        gamma = rng.uniform(*SYNTH_GAMMA_RANGE, n_gen)
-        beta = rng.uniform(*SYNTH_BETA_RANGE, n_gen)
-        mu = rng.uniform(*SYNTH_MU_RANGE, n_gen)
-        pmin = rng.uniform(*SYNTH_PMIN_RANGE, n_gen)
-        pmax = rng.uniform(*SYNTH_PMAX_RANGE, n_gen)
-        if math.fsum(pmin) <= demand <= math.fsum(pmax):
-            gens = tuple(
-                GeneratorRecord(
-                    i + 1,
-                    gen_buses[i],
-                    float(gamma[i]),
-                    float(beta[i]),
-                    float(mu[i]),
-                    float(pmin[i]),
-                    float(pmax[i]),
-                )
-                for i in range(n_gen)
-            )
-            return DispatchCase(generators=gens, demand=demand, name=f"synth-{int(seed)}")
-    raise FeasibilityError(
-        f"could not sample limits meeting demand {demand} after 100 attempts (seed {seed})"
-    )
-
-
-def synth_bus_lines(seed, n_gen=SYNTH_BASE_GENERATORS):
-    """Bus-line edge list matching :func:`synth_ieee118_style` for the same seed."""
-    _, edges = _synth_layout(seed, int(n_gen))
-    return edges
+    return sorted(edges)
 
 
 def to_problems(case, shares=None):
@@ -344,39 +340,34 @@ def bus_derived_graph(case, bus_edges):
     """Generator communication graph implied by the physical bus network.
 
     Generators are adjacent iff some bus path between their buses passes
-    through no other generator bus; co-located generators are adjacent. The
+    through no other generator bus. Such a path is one line, or it crosses one
+    component of the load buses (those hosting no generator), so the graph is
+    the union of cliques on hubs: the generators at one bus, at both ends of
+    one generator-generator line, or at the buses next to one load-bus
+    component, labelled once by :func:`~netalloc.graphs.component_labels`. The
     result is connected whenever the bus network connects all generator buses.
     """
-    n = case.n
-    bus_of = [g.bus for g in case.generators]
     gens_at = {}
-    for gi, bus in enumerate(bus_of):
-        gens_at.setdefault(bus, []).append(gi)
-    adj = {}
-    for u, v in bus_edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+    for gi, g in enumerate(case.generators):
+        gens_at.setdefault(g.bus, set()).add(gi)
+    lines = [(u, v) if u in gens_at else (v, u) for u, v in bus_edges]  # generator end first
+    load = {}  # load bus -> index
+    for bus in itertools.chain.from_iterable(lines):
+        if bus not in gens_at:
+            load.setdefault(bus, len(load))
+    load_lines = [(load[u], load[v]) for u, v in lines if u in load]
+    label = component_labels(len(load), np.array(load_lines, dtype=np.int64).reshape(-1, 2))
+    hubs = list(gens_at.values())
+    near = {}  # load component label -> generators at buses next to it
+    for u, v in lines:
+        if v in gens_at:
+            hubs.append(gens_at[u] | gens_at[v])
+        elif u in gens_at:
+            near.setdefault(int(label[load[v]]), set()).update(gens_at[u])
     edges = set()
-    for bus, gens in gens_at.items():
-        for a in gens:
-            for c in gens:
-                if a < c:
-                    edges.add((a, c))
-    for gi, start in enumerate(bus_of):
-        visited = {start}
-        frontier = list(adj.get(start, ()))
-        while frontier:
-            bus = frontier.pop()
-            if bus in visited:
-                continue
-            visited.add(bus)
-            if bus in gens_at:
-                for gj in gens_at[bus]:
-                    if gj != gi:
-                        edges.add((min(gi, gj), max(gi, gj)))
-                continue  # paths may not pass through another generator bus
-            frontier.extend(adj.get(bus, ()))
-    g = GraphTopology(n, edges)
+    for hub in itertools.chain(hubs, near.values()):
+        edges.update(itertools.combinations(sorted(hub), 2))
+    g = GraphTopology(case.n, edges)
     if not g.connected:
         raise DisconnectedGraph(
             "bus network does not connect all generator buses; derived graph is disconnected"

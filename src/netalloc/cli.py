@@ -60,10 +60,10 @@ def _load_case_spec(spec):
             raise ValueError(f"unknown builtin case {name!r}")
         return case_io.builtin_ieee14(), None
     if spec.startswith("synth:"):
-        parts = spec.split(":")
-        seed = int(parts[1])
-        n_gen = int(parts[2]) if len(parts) > 2 else case_io.SYNTH_BASE_GENERATORS
-        return case_io.synth_ieee118_style(seed, n_gen), seed
+        fields = spec.split(":")[1:]
+        if not (1 <= len(fields) <= 2 and all(tok.isdecimal() for tok in fields)):
+            raise ValueError(f"case spec {spec!r} is not synth:SEED[:NGEN] with nonnegative integers SEED and NGEN")
+        return case_io.synth_ieee118_style(*map(int, fields)), int(fields[0])
     path = spec.split(":", 1)[1] if spec.startswith("file:") else spec
     return case_io.load_case(path), None
 

@@ -3,11 +3,13 @@
 The consensus step of the distributed solver averages neighbor values with a
 doubly stochastic matrix ``A`` whose sparsity matches an undirected connected
 graph. :class:`GraphTopology` holds that graph as one sorted array of edges
-``i < j`` and learns whether it is connected once, when it is built; the
-weight functions fill and check their matrices from that array. The key
-spectral quantity is ``sigma2``, the second-largest singular value of ``A``:
-disagreement between nodes decays like ``sigma2**k``. It is computed exactly,
-by a dense SVD of ``A``, at every order.
+``i < j`` and learns whether it is connected once, when it is built, from
+:func:`component_labels`, the one connectivity routine, which also labels the
+load-bus components of the bus-derived graph. The weight functions fill and
+check their matrices from that array. The key spectral quantity is
+``sigma2``, the second-largest singular value of ``A``: disagreement between
+nodes decays like ``sigma2**k``. It is computed exactly, by a dense SVD of
+``A``, at every order.
 """
 
 from __future__ import annotations
@@ -79,15 +81,16 @@ class GraphTopology:
         edges.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "connected", _connected(n, edges))
+        object.__setattr__(self, "connected", not component_labels(n, edges).any())
 
     def degrees(self):
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
-def _connected(n, edges):
-    """True iff label propagation gives every node the label 0.
+def component_labels(n, edges):
+    """Label each of the nodes ``0 .. n-1`` with the smallest node of its component.
 
+    ``edges`` is an ``(m, 2)`` int array; self-loops and repeats are harmless.
     Each label names a root node, whose own label is itself. A pass lowers
     each root's label to the smallest root across its edges, then follows
     labels until every node holds its new root (hook and compress, after
@@ -104,7 +107,7 @@ def _connected(n, edges):
         while not (new[new] == new).all():
             new = new[new]
         if (new == label).all():
-            return not label.any()
+            return label
         label = new
 
 

@@ -2,14 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netalloc import (
+    DisconnectedGraph,
     DispatchCase,
     FeasibilityError,
     GeneratorRecord,
+    GraphTopology,
     ParseError,
     ShareSumMismatch,
     builtin_ieee14,
@@ -28,8 +31,10 @@ from netalloc.cases import (
     SYNTH_MU_RANGE,
     SYNTH_PMAX_RANGE,
     SYNTH_PMIN_RANGE,
+    _synth_buses,
     serialize_bus_lines,
 )
+from conftest import SUITE_SEED
 
 # deterministic examples and no example database, so the suite stays reproducible
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -167,6 +172,27 @@ class TestRoundTrip:
         assert parse_case(serialize_case(case)) == case
 
 
+class TestNonFiniteValues:
+    FIELDS = ("gamma", "beta", "mu", "pmin", "pmax")
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_generator_names_field(self, field, value):
+        values = {"gamma": 0.1, "beta": 1.0, "mu": 0.0, "pmin": 0.0, "pmax": 5.0, field: value}
+        with pytest.raises(ValueError, match=f"^generator 3: {field} must be finite, got {value}$"):
+            GeneratorRecord(3, 1, *(values[f] for f in self.FIELDS))
+
+    @pytest.mark.parametrize("demand", [math.nan, math.inf, -math.inf])
+    def test_case_names_demand(self, demand):
+        with pytest.raises(ValueError, match=f"^case 'toy': demand must be finite, got {demand}$"):
+            DispatchCase(generators=(GeneratorRecord(1, 1, 0.1, 1.0, 0.0, 0.0, 5.0),), demand=demand, name="toy")
+
+    def test_parse_case_reports_line_first(self):
+        with pytest.raises(ParseError, match="non-finite value 'inf' for pmax") as err:
+            parse_case(VALID_TEXT.replace("0.0,80\n", "0.0,inf\n", 1))
+        assert err.value.line == 3
+
+
 class TestBuiltinCase:
     def test_shape(self):
         case = builtin_ieee14()
@@ -215,6 +241,14 @@ class TestSynthCase:
     def test_round_trip_through_text(self):
         case = synth_ieee118_style(5)
         assert parse_case(serialize_case(case)) == case
+
+    @pytest.mark.parametrize("n_gen", [54, 300])
+    def test_layout_matches_reference(self, n_gen):
+        for seed in range(32):
+            gen_buses, lines = reference_synth_layout(seed, n_gen)
+            assert _synth_buses(seed, n_gen)[2] == gen_buses
+            assert [g.bus for g in synth_ieee118_style(seed, n_gen).generators] == gen_buses
+            assert synth_bus_lines(seed, n_gen) == lines
 
 
 class TestToProblems:
@@ -297,3 +331,124 @@ class TestBusLinesFormat:
     def test_rejects_self_loop(self):
         with pytest.raises(ParseError, match="self-loop"):
             parse_bus_lines("2 2\n")
+
+
+def reference_synth_layout(seed, n_gen):
+    """The layout ``synth_ieee118_style`` and ``synth_bus_lines`` built before it was split."""
+    rng = np.random.default_rng([int(seed), 1])
+    n_bus = max(n_gen + 2, int(round(n_gen * 118 / 54)))
+    gen_buses = np.sort(rng.choice(np.arange(1, n_bus + 1), size=n_gen, replace=False))
+    order = rng.permutation(np.arange(1, n_bus + 1))
+    edges = set()
+    for idx in range(1, n_bus):
+        parent = int(order[rng.integers(0, idx)])
+        edges.add(tuple(sorted((int(order[idx]), parent))))
+    # pad the spanning tree toward a grid-like line count (~1.6 per bus)
+    extra = max(0, int(round(1.6 * n_bus)) - len(edges))
+    attempts = 0
+    while extra > 0 and attempts < 200 * n_bus:
+        u, v = (int(t) for t in rng.integers(1, n_bus + 1, size=2))
+        attempts += 1
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        if key not in edges:
+            edges.add(key)
+            extra -= 1
+    return [int(bus) for bus in gen_buses], sorted(edges)
+
+
+def reference_bus_derived_graph(case, bus_edges):
+    """The per-generator search ``bus_derived_graph`` ran before it labelled load-bus components."""
+    n = case.n
+    bus_of = [g.bus for g in case.generators]
+    gens_at = {}
+    for gi, bus in enumerate(bus_of):
+        gens_at.setdefault(bus, []).append(gi)
+    adj = {}
+    for u, v in bus_edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    edges = set()
+    for bus, gens in gens_at.items():
+        for a in gens:
+            for c in gens:
+                if a < c:
+                    edges.add((a, c))
+    for gi, start in enumerate(bus_of):
+        visited = {start}
+        frontier = list(adj.get(start, ()))
+        while frontier:
+            bus = frontier.pop()
+            if bus in visited:
+                continue
+            visited.add(bus)
+            if bus in gens_at:
+                for gj in gens_at[bus]:
+                    if gj != gi:
+                        edges.add((min(gi, gj), max(gi, gj)))
+                continue  # paths may not pass through another generator bus
+            frontier.extend(adj.get(bus, ()))
+    g = GraphTopology(n, edges)
+    if not g.connected:
+        raise DisconnectedGraph(
+            "bus network does not connect all generator buses; derived graph is disconnected"
+        )
+    return g
+
+
+def graph_outcome(build, case, bus_edges):
+    """The sorted edges of the built graph, or the type and message of its error."""
+    try:
+        return build(case, bus_edges).edges.tolist()
+    except (DisconnectedGraph, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def random_bus_network(rng):
+    """``(case, lines, features)``: a small case on a random bus network.
+
+    Generators may share a bus, and buses may touch no line. Lines may be
+    self-loops, repeat an earlier line in either orientation, or leave the
+    network disconnected. ``features`` names which of these the draw holds.
+    """
+    n_bus = int(rng.integers(1, 11))
+    n_gen = int(rng.integers(1, 9))
+    buses = rng.integers(1, n_bus + 1, size=n_gen).tolist()
+    gens = tuple(GeneratorRecord(i + 1, bus, 0.1, 1.0, 0.0, 0.0, 1.0) for i, bus in enumerate(buses))
+    lines = [tuple(rng.integers(1, n_bus + 1, size=2).tolist()) for _ in range(int(rng.integers(0, 2 * n_bus + 1)))]
+    for _ in range(int(rng.integers(0, 3))):
+        if lines:
+            u, v = lines[int(rng.integers(0, len(lines)))]
+            lines.insert(int(rng.integers(0, len(lines) + 1)), (v, u))
+    touched = {bus for line in lines for bus in line}
+    features = {
+        "co-located": len(set(buses)) < n_gen,
+        "self-loop": any(u == v for u, v in lines),
+        "both orientations": any((v, u) in lines for u, v in lines if u != v),
+        "line-free bus": any(bus not in touched for bus in range(1, n_bus + 1)),
+    }
+    return DispatchCase(generators=gens, demand=0.0, name="toy"), lines, features
+
+
+class TestBusDerivedGraphMatchesReference:
+    """``bus_derived_graph`` against the per-generator search it replaced."""
+
+    @pytest.mark.parametrize("n_gen, seeds", [(54, range(32)), (300, range(8)), (1000, [7])])
+    def test_synth_cases(self, n_gen, seeds):
+        for seed in seeds:
+            case, lines = synth_ieee118_style(seed, n_gen), synth_bus_lines(seed, n_gen)
+            expected = graph_outcome(reference_bus_derived_graph, case, lines)
+            assert graph_outcome(bus_derived_graph, case, lines) == expected
+
+    def test_random_networks(self):
+        rng = np.random.default_rng(SUITE_SEED + 11)  # private stream
+        seen = {"connected": 0, "DisconnectedGraph": 0, "ValueError": 0}
+        for _ in range(1500):
+            case, lines, features = random_bus_network(rng)
+            expected = graph_outcome(reference_bus_derived_graph, case, iter(lines))
+            assert graph_outcome(bus_derived_graph, case, (line for line in lines)) == expected, (case, lines)
+            seen["connected" if isinstance(expected, list) else expected[0]] += 1
+            for name, present in features.items():
+                seen[name] = seen.get(name, 0) + present
+        assert min(seen.values()) >= 100, seen

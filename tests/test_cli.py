@@ -70,6 +70,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ParseError:") and "\n" not in err.strip("\n")
 
+    @pytest.mark.parametrize(
+        "spec", ["synth:7:54:junk", "synth:7:", "synth:-3", "synth:", "synth:x", "synth:7:5.0", "synth:7:-5", "synth:²"]
+    )
+    def test_malformed_synth_spec_is_one_error_line(self, tmp_path, capsys, spec):
+        out = tmp_path / "out"
+        code = run_cli("run", "--case", spec, "--graph", "cycle", "--schedule", "recip", "--iters", "10", "--out", str(out))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ValueError: case spec {spec!r} is not synth:SEED[:NGEN] with nonnegative integers SEED and NGEN\n"
+        )
+        assert not out.exists()
+
     def test_byte_reproducible(self, tmp_path):
         outs = []
         for sub in ("a", "b"):

@@ -21,6 +21,7 @@ from netalloc import (
     second_largest_singular_value,
     validate_weight_matrix,
 )
+from netalloc.graphs import component_labels
 from conftest import SUITE_SEED, random_connected_graph
 
 
@@ -246,20 +247,24 @@ def reference_edges(n, edges):
     return sorted(normalized)
 
 
-def reference_connected(n, edges):
-    """The traversal from node 0 that ``check_connected`` ran."""
+def reference_reached(n, edges, start=0):
+    """The nodes reached from ``start`` by the traversal ``check_connected`` ran from node 0."""
     neigh = [[] for _ in range(n)]
     for a, b in edges:
         neigh[a].append(b)
         neigh[b].append(a)
-    seen = {0}
-    stack = [0]
+    seen = {start}
+    stack = [start]
     while stack:
         for v in neigh[stack.pop()]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)
-    return len(seen) == n
+    return seen
+
+
+def reference_connected(n, edges):
+    return len(reference_reached(n, edges)) == n
 
 
 def reference_degrees(n, edges):
@@ -375,3 +380,30 @@ class TestEdgeArraysMatchReferences:
             assert g.connected and reference_connected(n, g.edges.tolist())
             entries = metropolis_weights(g).entries
             assert entries.tobytes() == reference_metropolis(n, g.edges.tolist()).tobytes()
+
+
+class TestComponentLabels:
+    """Each node's label is the smallest node it can reach."""
+
+    def test_random_edge_lists(self):
+        rng = np.random.default_rng(SUITE_SEED + 13)  # private stream
+        components = {1: 0, 2: 0, 3: 0}  # lists with one, two, or three or more components
+        for _ in range(500):
+            n = int(rng.integers(1, 25))
+            edges = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), 2))  # self-loops and repeats
+            expected = [min(reference_reached(n, edges.tolist(), v)) for v in range(n)]
+            assert component_labels(n, edges).tolist() == expected
+            components[min(len(set(expected)), 3)] += 1
+        assert component_labels(0, np.zeros((0, 2), dtype=np.int64)).tolist() == []
+        assert min(components.values()) >= 50, components
+
+    def test_relabelled_path_settles_on_smallest_node(self):
+        rng = np.random.default_rng([SUITE_SEED, 13])  # private stream
+        label = rng.permutation(1000)
+        path = np.stack([label[:-1], label[1:]], axis=1)
+        assert not component_labels(1000, path).any()
+        halves = label[:500], label[500:]
+        expected = np.empty(1000, dtype=np.int64)
+        for half in halves:
+            expected[half] = half.min()
+        assert component_labels(1000, np.delete(path, 499, axis=0)).tolist() == expected.tolist()
