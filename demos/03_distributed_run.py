@@ -48,7 +48,8 @@ write_line_chart(
     "iteration k",
     "x_i(k) [MW]",
     ks,
-    [(f"gen {i + 1}", trace.x[:, i]) for i in range(trace.n)],
+    trace.x,
+    [f"gen {i + 1}" for i in range(trace.n)],
 )
 write_line_chart(
     out / "dispatch_residual.svg",
@@ -56,6 +57,7 @@ write_line_chart(
     "iteration k",
     "sum x - 300 [MW]",
     ks,
-    [("residual", trace.residuals())],
+    trace.residuals()[:, None],
+    ["residual"],
 )
 print(f"\nwrote {out}/dispatch_alloc.svg and {out}/dispatch_residual.svg")

@@ -47,48 +47,41 @@ def global_subgradient_bound(problems):
 
 
 def _require_normalized(sched):
-    a0 = sched.alpha(0)
-    if a0 != 1.0:
+    if not sched.normalized:
         raise HypothesisViolation(
-            f"schedule {getattr(sched, 'name', sched)!r} has alpha(0) = {a0}, bounds require alpha(0) = 1"
+            f"schedule {getattr(sched, 'name', sched)!r} has alpha(0) = {sched.alpha(0)}, bounds require alpha(0) = 1"
         )
 
 
 def consensus_error_bound(k, sched, sigma2, lam0_l1, C, n):
     """Per-iteration consensus-error bound, evaluated by direct summation.
 
-    The geometric sum is accumulated smallest-first with exact rounding since
-    it is ill-conditioned for ``sigma2`` near 1.
+    The geometric sum is accumulated with exact rounding since it is
+    ill-conditioned for ``sigma2`` near 1.
     """
     _require_normalized(sched)
     k = int(k)
     if k < 0:
         raise ValueError(f"iteration index must be nonnegative, got {k}")
-    return _consensus_bound(k, sched.alphas(k), sigma2, lam0_l1, C, n)
+    return _consensus_bound(k, sched.alphas(k), sigma2 ** np.arange(k, dtype=float), sigma2, lam0_l1, C, n)
 
 
-def _consensus_bound(k, alphas, sigma2, lam0_l1, C, n):
-    """:func:`consensus_error_bound` at ``k`` from a prefix ``alphas[:k]`` of the schedule."""
-    head = (sigma2**k if k > 0 else 1.0) * lam0_l1
-    if k == 0:
-        return float(head)
-    powers = sigma2 ** np.arange(k - 1, -1, -1, dtype=float)
-    terms = np.sort(alphas[:k] * powers)
-    return float(head + math.sqrt(n) * C * math.fsum(terms.tolist()))
+def _consensus_bound(k, alphas, powers, sigma2, lam0_l1, C, n):
+    """:func:`consensus_error_bound` at ``k`` from prefixes ``alphas[:k]`` of the
+    schedule and ``powers[:k]`` of ``sigma2 ** arange``; ``fsum`` rounds once,
+    whatever the order of its terms."""
+    tail = math.fsum((alphas[:k] * powers[:k][::-1]).tolist())
+    return float(sigma2**k * lam0_l1 + math.sqrt(n) * C * tail)
 
 
-def weighted_consensus_bound(K, sigma2, lam0_l1, C, n, sched=None):
+def weighted_consensus_bound(K, sigma2, lam0_l1, C, n):
     """Bound on the alpha-weighted cumulative consensus error up to ``K``.
 
-    Stated for the ``1/sqrt(k)`` schedule; any other schedule is refused.
+    Stated for the ``1/sqrt(k)`` schedule, which :func:`check_bounds` requires.
     """
     K = int(K)
     if K < 1:
         raise ValueError(f"checkpoint must be at least 1, got {K}")
-    if sched is not None and not isinstance(sched, RecipSqrt):
-        raise HypothesisViolation(
-            f"weighted consensus bound is stated for the 1/sqrt(k) schedule, got {getattr(sched, 'name', sched)!r}"
-        )
     return float((lam0_l1 + math.sqrt(n) * C * (2.0 + math.log(K))) / (1.0 - sigma2))
 
 
@@ -118,6 +111,25 @@ def default_checkpoints(iterations):
     if iterations >= 1 and iterations not in ks:
         ks.append(iterations)
     return ks
+
+
+def resolve_checks(T, checkpoints=None, consensus_upto=None):
+    """``(checkpoints, upto)`` for checking a trace of ``T`` rounds.
+
+    Checkpoints default to :func:`default_checkpoints`; given ones are sorted,
+    deduplicated and must lie in ``[1, T]``. The consensus horizon must be
+    nonnegative; it defaults to ``T`` and is capped at ``T``.
+    """
+    if checkpoints is None:
+        ks = default_checkpoints(T)
+    else:
+        ks = sorted(set(int(k) for k in checkpoints))
+        if any(k < 1 or k > T for k in ks):
+            raise ValueError(f"checkpoints {ks} must lie in [1, {T}]")
+    upto = T if consensus_upto is None else int(consensus_upto)
+    if upto < 0:
+        raise ValueError(f"consensus_upto must be nonnegative, got {upto}")
+    return ks, min(upto, T)
 
 
 @dataclass
@@ -195,24 +207,32 @@ def _dual_sum(problems):
     return dual_sum
 
 
+def _row(k, observed, bound):
+    return (k, observed, bound, bound - observed, observed <= bound)
+
+
 def check_bounds(trace, problems, A, lamstar, checkpoints=None, consensus_upto=None):
     """Evaluate every applicable bound against a recorded trace.
 
-    The per-iteration consensus bound is checked at every ``k`` up to
-    ``consensus_upto`` (default: the whole trace). The weighted-consensus and
-    dual-gap bounds apply only under the ``1/sqrt(k)`` schedule and are
-    evaluated at ``checkpoints`` (default: powers of ten). Raises
-    :class:`HypothesisViolation` when no bound's hypotheses hold, and
-    ValueError for a non-finite ``lamstar`` or a negative ``consensus_upto``.
+    ``A`` is the run's :class:`~netalloc.graphs.WeightMatrix`, whose validated
+    ``sigma2`` feeds every bound. The per-iteration consensus bound is checked
+    at every ``k`` up to ``consensus_upto`` and the weighted-consensus and
+    dual-gap bounds at ``checkpoints``, both as :func:`resolve_checks` decides.
+    The last two apply only under the ``1/sqrt(k)`` schedule. Raises
+    :class:`HypothesisViolation` for a schedule with ``alpha(0) != 1``,
+    TypeError for any other ``A``, and ValueError for a non-finite ``lamstar``
+    or checks that :func:`resolve_checks` refuses.
     """
+    T = trace.iterations
+    checkpoints, upto = resolve_checks(T, checkpoints, consensus_upto)
+    if not isinstance(A, WeightMatrix):
+        raise TypeError(f"A must be a WeightMatrix, got {type(A).__name__}")
     if not math.isfinite(lamstar):
         raise ValueError(f"lamstar must be finite, got {float(lamstar)!r}")
-    if consensus_upto is not None and int(consensus_upto) < 0:
-        raise ValueError(f"consensus_upto must be nonnegative, got {int(consensus_upto)}")
     problems = tuple(problems)
     sched = trace.schedule
     _require_normalized(sched)
-    sigma2 = A.sigma2 if isinstance(A, WeightMatrix) else float(A)
+    sigma2 = A.sigma2
     n = trace.n
     C = global_subgradient_bound(problems)
     lam0 = trace.lam[0]
@@ -226,39 +246,26 @@ def check_bounds(trace, problems, A, lamstar, checkpoints=None, consensus_upto=N
         schedule_name=getattr(sched, "name", str(sched)),
     )
 
-    T = trace.iterations
-    upto = T if consensus_upto is None else min(int(consensus_upto), T)
-    spreads = trace.spreads()
     alphas = sched.alphas(upto)
-    for k in range(upto + 1):
-        bound = _consensus_bound(k, alphas, sigma2, lam0_l1, C, n)
-        observed = float(spreads[k])
-        report.consensus_rows.append(
-            (k, observed, bound, bound - observed, observed <= bound)
-        )
+    powers = sigma2 ** np.arange(upto, dtype=float)
+    report.consensus_rows = [
+        _row(k, observed, _consensus_bound(k, alphas, powers, sigma2, lam0_l1, C, n))
+        for k, observed in enumerate(trace.spreads()[: upto + 1].tolist())
+    ]
 
     if isinstance(sched, RecipSqrt):
-        ks = default_checkpoints(T) if checkpoints is None else sorted(set(int(k) for k in checkpoints))
-        if any(k < 1 or k > T for k in ks):
-            raise ValueError(f"checkpoints {ks} outside trace range [1, {T}]")
         alphas = sched.alphas(T + 1)
         mean = trace.mean_multipliers()
         weighted_err = alphas[:, None] * np.abs(trace.lam - mean[:, None])
         cum_err = np.cumsum(weighted_err, axis=0)
         dual_sum = _dual_sum(problems)
         q_star = dual_sum(lamstar)
-        for K in ks:
-            observed = float(cum_err[K].max())
-            bound = weighted_consensus_bound(K, sigma2, lam0_l1, C, n, sched)
-            report.weighted_rows.append(
-                (K, observed, bound, bound - observed, observed <= bound)
-            )
+        for K in checkpoints:
+            bound = weighted_consensus_bound(K, sigma2, lam0_l1, C, n)
+            report.weighted_rows.append(_row(K, float(cum_err[K].max()), bound))
 
-            averages = trace.time_weighted_averages(K)
-            gaps = [dual_sum(avg) - q_star for avg in averages]
-            worst = max(gaps)
+            gaps = [dual_sum(avg) - q_star for avg in trace.time_weighted_averages(K)]
             report.min_gap = min(report.min_gap, min(gaps))
-            bound = rate_bound(K, n, sigma2, C, lam0, lamstar)
-            report.gap_rows.append((K, worst, bound, bound - worst, worst <= bound))
+            report.gap_rows.append(_row(K, max(gaps), rate_bound(K, n, sigma2, C, lam0, lamstar)))
 
     return report

@@ -221,7 +221,10 @@ def _synth_buses(seed, n_gen):
     The generator buses are the first draw of the layout RNG, a stream separate
     from the coefficient stream so the layout does not perturb sampled cost data.
     """
-    rng = np.random.default_rng([int(seed), 1])
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"synthetic case seed must be nonnegative, got {seed}")
+    rng = np.random.default_rng([seed, 1])
     n_bus = max(n_gen + 2, int(round(n_gen * SYNTH_BASE_BUSES / SYNTH_BASE_GENERATORS)))
     gen_buses = np.sort(rng.choice(np.arange(1, n_bus + 1), size=n_gen, replace=False))
     return rng, n_bus, gen_buses.tolist()

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cases as case_io
-from .bounds import check_bounds, default_checkpoints
+from .bounds import check_bounds, resolve_checks
 from .errors import NetallocError
 from .graphs import (
     complete_graph,
@@ -104,21 +104,30 @@ def _build_graph(spec, case, synth_seed, bus_lines_path):
     raise ValueError(f"unknown graph spec {spec!r}")
 
 
+def _parse_list(text, convert, what, noun):
+    """The comma-separated tokens of ``text`` through ``convert``; a bad token names ``what``."""
+    values = []
+    for tok in text.split(","):
+        try:
+            values.append(convert(tok))
+        except ValueError:
+            raise ValueError(f"{what}: {tok!r} is not {noun}") from None
+    return values
+
+
 def _parse_shares(split, case):
     if split == "equal":
         return None
     if split.startswith("explicit:"):
-        return [float(tok) for tok in split.split(":", 1)[1].split(",")]
+        return _parse_list(split.split(":", 1)[1], float, f"split spec {split!r}", "a number")
     raise ValueError(f"unknown split spec {split!r} (use 'equal' or 'explicit:v1,v2,...')")
 
 
-def _parse_checkpoints(text, iters):
+def _parse_checkpoints(text):
+    """The ``--checkpoints`` flag as ints, or None when it is absent."""
     if text is None:
-        return [k for k in default_checkpoints(iters)]
-    ks = sorted(set(int(tok) for tok in text.split(",")))
-    if any(k < 1 or k > iters for k in ks):
-        raise ValueError(f"checkpoints {ks} must lie in [1, {iters}]")
-    return ks
+        return None
+    return _parse_list(text, int, f"--checkpoints {text!r}", "an integer")
 
 
 def _write_oracle_csv(path, sol):
@@ -134,31 +143,13 @@ def _write_oracle_csv(path, sol):
 
 def _write_plots(outdir, trace):
     ks = np.arange(trace.x.shape[0])
-    node_labels = [f"node {i}" for i in range(trace.n)]
-    write_line_chart(
-        outdir / "alloc.svg",
-        "Allocation per node",
-        "iteration k",
-        "x_i(k)",
-        ks,
-        [(node_labels[i], trace.x[:, i]) for i in range(trace.n)],
-    )
-    write_line_chart(
-        outdir / "multipliers.svg",
-        "Multiplier per node",
-        "iteration k",
-        "lambda_i(k)",
-        ks,
-        [(node_labels[i], trace.lam[:, i]) for i in range(trace.n)],
-    )
-    write_line_chart(
-        outdir / "residual.svg",
-        "Balance residual",
-        "iteration k",
-        "sum x - demand",
-        ks,
-        [("residual", trace.residuals())],
-    )
+    nodes = [f"node {i}" for i in range(trace.n)]
+    for name, title, ylabel, ys, labels in (
+        ("alloc.svg", "Allocation per node", "x_i(k)", trace.x, nodes),
+        ("multipliers.svg", "Multiplier per node", "lambda_i(k)", trace.lam, nodes),
+        ("residual.svg", "Balance residual", "sum x - demand", trace.residuals()[:, None], ["residual"]),
+    ):
+        write_line_chart(outdir / name, title, "iteration k", ylabel, ks, ys, labels)
 
 
 def _set_up(args):
@@ -176,7 +167,7 @@ def _check_bounds(args, trace, problems, weights, lamstar):
         problems,
         weights,
         lamstar,
-        checkpoints=_parse_checkpoints(args.checkpoints, trace.iterations),
+        checkpoints=_parse_checkpoints(args.checkpoints),
         consensus_upto=args.bounds_upto,
     )
     outdir = Path(args.out)
@@ -187,6 +178,8 @@ def _check_bounds(args, trace, problems, weights, lamstar):
 
 def _cmd_run(args):
     case, problems, weights, sched = _set_up(args)
+    if sched.normalized:  # refuse bad bound-check flags before anything is written
+        resolve_checks(args.iters, _parse_checkpoints(args.checkpoints), args.bounds_upto)
     trace = run_dlm(problems, weights, sched, args.iters)
 
     outdir = Path(args.out)

@@ -127,14 +127,12 @@ def complete_graph(n):
     return GraphTopology(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def parse_edge_list(text, n=None):
-    """Parse an edge-list file: one ``i j`` pair per line, zero-based.
+def parse_edge_list(text, n):
+    """Parse an edge-list file on ``n`` nodes: one ``i j`` pair per line, zero-based.
 
-    Lines starting with ``#`` and blank lines are ignored. When ``n`` is not
-    given it is inferred as ``max index + 1``.
+    Lines starting with ``#`` and blank lines are ignored.
     """
     edges = []
-    top = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -147,8 +145,7 @@ def parse_edge_list(text, n=None):
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer node index in {raw!r}") from None
         edges.append((i, j))
-        top = max(top, i + 1, j + 1)
-    return GraphTopology(top if n is None else n, edges)
+    return GraphTopology(n, edges)
 
 
 @dataclass(frozen=True, eq=False)

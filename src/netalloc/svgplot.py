@@ -40,24 +40,19 @@ def _tick(x):
     return format(float(x), ".6g")
 
 
-def _downsample(xs, ys):
-    if len(xs) <= MAX_POINTS:
-        return xs, ys
-    idx = np.linspace(0, len(xs) - 1, MAX_POINTS).round().astype(int)
-    return xs[idx], ys[idx]
-
-
-def write_line_chart(path, title, xlabel, ylabel, xs, series):
-    """Write one chart; ``series`` is a list of ``(label, ys)`` sharing ``xs``."""
+def write_line_chart(path, title, xlabel, ylabel, xs, ys, labels):
+    """Write one chart of the columns of ``ys``, shape ``(len(xs), len(labels))``, against ``xs``."""
     xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if ys.shape != (len(xs), len(labels)):
+        raise ValueError(f"ys has shape {ys.shape}, expected {(len(xs), len(labels))}: one column per label")
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     x_min, x_max = float(xs.min()), float(xs.max())
     if x_max == x_min:
         x_max = x_min + 1.0
-    y_min = min(float(np.asarray(ys).min()) for _, ys in series)
-    y_max = max(float(np.asarray(ys).max()) for _, ys in series)
+    y_min, y_max = float(ys.min()), float(ys.max())
     if y_max == y_min:
         y_min -= 1.0
         y_max += 1.0
@@ -117,18 +112,20 @@ def write_line_chart(path, title, xlabel, ylabel, xs, series):
         f'transform="rotate(-90 18 {MARGIN_TOP + plot_h // 2})">{ylabel}</text>'
     )
 
-    for idx, (label, ys) in enumerate(series):
-        ys = np.asarray(ys, dtype=float)
-        sx, sy = _downsample(xs, ys)
+    if len(xs) > MAX_POINTS:
+        rows = np.linspace(0, len(xs) - 1, MAX_POINTS).round().astype(int)
+        xs, ys = xs[rows], ys[rows]
+    # px and py broadcast over arrays with the same IEEE operations per point
+    pxs = px(xs).tolist()
+    for idx, pys in enumerate(py(ys).T):
         color = PALETTE[idx % len(PALETTE)]
-        # px and py broadcast over arrays with the same IEEE operations per point
-        points = " ".join(map("%.2f,%.2f".__mod__, zip(px(sx).tolist(), py(sy).tolist())))
+        points = " ".join(map("%.2f,%.2f".__mod__, zip(pxs, pys.tolist())))
         out.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.4"/>'
         )
 
-    if len(series) <= 10:
-        for idx, (label, _) in enumerate(series):
+    if len(labels) <= 10:
+        for idx, label in enumerate(labels):
             color = PALETTE[idx % len(PALETTE)]
             ly = MARGIN_TOP + 14 + 16 * idx
             lx = WIDTH - MARGIN_RIGHT - 130

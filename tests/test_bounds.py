@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from netalloc import (
     solve_centralized,
     weighted_consensus_bound,
 )
+from netalloc.bounds import resolve_checks
 from netalloc.graphs import cycle_graph
 from netalloc.objectives import NodeCosts
 from conftest import SUITE_SEED, random_connected_graph, random_quadratic_instance
@@ -97,10 +99,6 @@ class TestWeightedConsensusBound:
         fast = weighted_consensus_bound(10, 0.75, 0.0, 1.0, 4)
         assert fast == pytest.approx(2.0 * slow, rel=1e-12)
 
-    def test_rejects_wrong_schedule(self):
-        with pytest.raises(HypothesisViolation, match="1/sqrt"):
-            weighted_consensus_bound(10, 0.5, 0.0, 1.0, 4, sched=Recip())
-
 
 class TestRateBound:
     def test_hand_value(self):
@@ -126,6 +124,28 @@ class TestDefaultCheckpoints:
     def test_powers_of_ten(self):
         assert default_checkpoints(5000) == [1, 10, 100, 1000, 5000]
         assert default_checkpoints(100) == [1, 10, 100]
+
+
+class TestResolveChecks:
+    def test_defaults(self):
+        assert resolve_checks(5000) == ([1, 10, 100, 1000, 5000], 5000)
+
+    def test_sorts_and_deduplicates(self):
+        assert resolve_checks(100, [100, 1, 10, 1]) == ([1, 10, 100], 100)
+
+    @pytest.mark.parametrize("ks, shown", [([0, 5], "[0, 5]"), ([51, 1, 51], "[1, 51]")])
+    def test_rejects_checkpoints_outside_trace(self, ks, shown):
+        with pytest.raises(ValueError, match=rf"^checkpoints {re.escape(shown)} must lie in \[1, 50\]$"):
+            resolve_checks(50, ks)
+
+    def test_rejects_negative_horizon(self):
+        with pytest.raises(ValueError, match=r"^consensus_upto must be nonnegative, got -5$"):
+            resolve_checks(10, None, -5)
+
+    def test_horizon_capped_at_trace_length(self):
+        assert resolve_checks(10, None, 1000) == ([1, 10], 10)
+        assert resolve_checks(10, [10], 3) == ([10], 3)
+        assert resolve_checks(10, None, 0) == ([1, 10], 0)
 
 
 class TestCheckBounds:
@@ -169,6 +189,20 @@ class TestCheckBounds:
         problems, w, trace, sol = self.make_run(suite_rng, n=3, iters=50, sched=Recip())
         report = check_bounds(trace, problems, w, sol.lam_star)
         assert report.consensus_rows and not report.gap_rows and not report.weighted_rows
+
+    def test_recip_rejects_checkpoints_outside_trace(self):
+        problems = [make_problem(-1.0, 1.0, 0.0) for _ in range(3)]
+        w = metropolis_weights(cycle_graph(3))
+        trace = run_dlm(problems, w, Recip(), 10)
+        with pytest.raises(ValueError, match=r"^checkpoints \[1, 99\] must lie in \[1, 10\]$"):
+            check_bounds(trace, problems, w, 0.0, checkpoints=[1, 99])
+
+    def test_rejects_bare_sigma2(self):
+        problems = [make_problem(-1.0, 1.0, 0.0) for _ in range(3)]
+        w = metropolis_weights(cycle_graph(3))
+        trace = run_dlm(problems, w, RecipSqrt(), 10)
+        with pytest.raises(TypeError, match=r"^A must be a WeightMatrix, got float$"):
+            check_bounds(trace, problems, w.sigma2, 0.0)
 
     def test_consensus_upto_caps_rows(self, suite_rng):
         problems, w, trace, sol = self.make_run(suite_rng, n=3, iters=200)
@@ -315,3 +349,56 @@ class TestVectorisedPaths:
             for k in range(301)
         ]
         assert bits([r[2] for r in report.consensus_rows]) == bits(direct)
+
+
+def reference_consensus_bound(k, alphas, sigma2, lam0_l1, C, n):
+    """The consensus bound as computed before the powers of ``sigma2`` were
+    shared across ``k``: fresh powers and a sorted ``fsum`` for every ``k``."""
+    head = (sigma2**k if k > 0 else 1.0) * lam0_l1
+    if k == 0:
+        return float(head)
+    powers = sigma2 ** np.arange(k - 1, -1, -1, dtype=float)
+    terms = np.sort(alphas[:k] * powers)
+    return float(head + math.sqrt(n) * C * math.fsum(terms.tolist()))
+
+
+SCHEDULES = {"recip-sqrt": RecipSqrt(), "recip": Recip(), "powerlaw:1:0.7": PowerLaw(1.0, 0.7)}
+
+
+class TestConsensusBoundMatchesReference:
+    K = 400
+
+    # a private stream, so these tests leave the shared suite stream unchanged
+    @pytest.fixture
+    def rng(self):
+        return np.random.default_rng(20161117)
+
+    def sigma2s(self, rng):
+        return [0.0, 0.5, 1.0 - 1e-4, float(rng.uniform(0.0, 1.0))]
+
+    @pytest.mark.parametrize("name", SCHEDULES)
+    def test_direct_bound(self, rng, name):
+        sched = SCHEDULES[name]
+        alphas = sched.alphas(self.K)
+        for sigma2 in self.sigma2s(rng):
+            lam0_l1, C, n = float(rng.uniform(0.0, 50.0)), float(rng.uniform(0.1, 100.0)), int(rng.integers(2, 60))
+            direct = [consensus_error_bound(k, sched, sigma2, lam0_l1, C, n) for k in range(self.K + 1)]
+            expected = [reference_consensus_bound(k, alphas, sigma2, lam0_l1, C, n) for k in range(self.K + 1)]
+            assert bits(direct) == bits(expected), sigma2
+
+    @pytest.mark.parametrize("name", SCHEDULES)
+    def test_check_bounds_rows(self, rng, name):
+        sched = SCHEDULES[name]
+        n = int(rng.integers(2, 9))
+        problems, total = random_quadratic_instance(rng, n=n)
+        w = metropolis_weights(random_connected_graph(rng, n))
+        trace = run_dlm(problems, w, sched, self.K, init_lams=rng.uniform(-5.0, 5.0, n))
+        lamstar = solve_centralized(problems, total).lam_star
+        alphas = sched.alphas(self.K)
+        for sigma2 in [w.sigma2, *self.sigma2s(rng)]:
+            report = check_bounds(trace, problems, dataclasses.replace(w, sigma2=sigma2), lamstar)
+            assert report.sigma2 == sigma2 and len(report.consensus_rows) == self.K + 1
+            expected = [
+                reference_consensus_bound(k, alphas, sigma2, report.lam0_l1, report.C, n) for k in range(self.K + 1)
+            ]
+            assert bits([r[2] for r in report.consensus_rows]) == bits(expected), sigma2

@@ -238,6 +238,11 @@ class TestSynthCase:
         assert case.demand == pytest.approx(3000.0)
         assert case.n == 27
 
+    @pytest.mark.parametrize("make", [synth_ieee118_style, synth_bus_lines])
+    def test_rejects_negative_seed(self, make):
+        with pytest.raises(ValueError, match=r"^synthetic case seed must be nonnegative, got -3$"):
+            make(-3)
+
     def test_round_trip_through_text(self):
         case = synth_ieee118_style(5)
         assert parse_case(serialize_case(case)) == case

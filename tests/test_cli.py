@@ -100,6 +100,38 @@ class TestRun:
         for name in RUN_FILES:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (("--checkpoints", "1,99"), "checkpoints [1, 99] must lie in [1, 10]"),
+            (("--bounds-upto", "-5"), "consensus_upto must be nonnegative, got -5"),
+            (("--checkpoints", "1,a"), "--checkpoints '1,a': 'a' is not an integer"),
+        ],
+    )
+    def test_bad_bound_flags_fail_before_any_output(self, tmp_path, capsys, flags, reason):
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--case", "builtin:ieee14", "--graph", "cycle", "--schedule", "recip-sqrt",
+            "--iters", "10", *flags, "--out", str(out),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: {reason}\n"
+        assert not out.exists()
+
+    def test_bad_split_token_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--case", "builtin:ieee14", "--graph", "cycle", "--schedule", "recip",
+            "--iters", "10", "--split", "explicit:1,2,x", "--out", str(out),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ValueError: split spec 'explicit:1,2,x': 'x' is not a number\n"
+        assert not out.exists()
+
     def test_explicit_split(self, tmp_path):
         code = run_cli(
             "run",
@@ -226,11 +258,13 @@ class TestBounds:
         assert "\n" not in err.strip("\n")
 
     def test_negative_bound_horizon_is_one_error_line(self, tmp_path, capsys):
-        out = tmp_path / "run"
         argv = ("--case", "builtin:ieee14", "--graph", "cycle", "--schedule", "recip-sqrt")
-        code = run_cli("run", *argv, "--iters", "50", "--bounds-upto", "-5", "--out", str(out))
+        code = run_cli("run", *argv, "--iters", "50", "--bounds-upto", "-5", "--out", str(tmp_path / "bad"))
         assert code == 1
         assert capsys.readouterr().err == "error: ValueError: consensus_upto must be nonnegative, got -5\n"
+        out = self._run(tmp_path, "recip-sqrt")
+        (out / "bounds.csv").unlink()
+        capsys.readouterr()
         trace = str(out / "trace.csv")
         code = run_cli("bounds", *argv, "--trace", trace, "--bounds-upto", "-3", "--out", str(out))
         assert code == 1
@@ -311,6 +345,14 @@ class TestCaseCommands:
         assert captured.err == (
             f"error: ValueError: --out {out} is also the path of its bus-lines file; use another suffix\n"
         )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_synth_rejects_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "case.csv"
+        assert run_cli("case", "synth", "--seed", "-3", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ValueError: synthetic case seed must be nonnegative, got -3\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_synth_deterministic_bytes(self, tmp_path):

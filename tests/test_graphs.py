@@ -221,14 +221,19 @@ class TestSigma2:
 class TestFileFormats:
     def test_edge_list_round_trip(self):
         text = "# a comment\n0 1\n\n1 2\n"
-        g = parse_edge_list(text)
+        g = parse_edge_list(text, 3)
         assert g.n == 3 and g.edges.tolist() == path_graph(3).edges.tolist()
         written = "".join(f"{j} {i}\n" for i, j in g.edges.tolist())
-        assert parse_edge_list(written).edges.tolist() == g.edges.tolist()
+        assert parse_edge_list(written, 3).edges.tolist() == g.edges.tolist()
 
     def test_edge_list_bad_token(self):
         with pytest.raises(ValueError, match="non-integer"):
-            parse_edge_list("0 x\n")
+            parse_edge_list("0 x\n", 2)
+
+    def test_edge_list_huge_index_is_out_of_range(self):
+        # n bounds the indices, so a huge one is refused before any array is sized by it
+        with pytest.raises(ValueError, match=r"^edge \(2,3000000000\) outside node range \[0,3\)$"):
+            parse_edge_list("0 1\n1 2\n2 3000000000\n", 3)
 
 
 def reference_edges(n, edges):
