@@ -141,12 +141,17 @@ def _write_oracle_csv(path, sol):
             fh.write(f"{i},{_fmt(x)}\n")
 
 
+def _node_band(values):
+    """The min, mean and max across nodes of a ``(rounds, n)`` array, one column each."""
+    return np.column_stack([values.min(axis=1), values.mean(axis=1), values.max(axis=1)])
+
+
 def _write_plots(outdir, trace):
     ks = np.arange(trace.x.shape[0])
-    nodes = [f"node {i}" for i in range(trace.n)]
+    band = ["min over nodes", "mean over nodes", "max over nodes"]
     for name, title, ylabel, ys, labels in (
-        ("alloc.svg", "Allocation per node", "x_i(k)", trace.x, nodes),
-        ("multipliers.svg", "Multiplier per node", "lambda_i(k)", trace.lam, nodes),
+        ("alloc.svg", "Allocation across nodes", "x_i(k)", _node_band(trace.x), band),
+        ("multipliers.svg", "Multiplier across nodes", "lambda_i(k)", _node_band(trace.lam), band),
         ("residual.svg", "Balance residual", "sum x - demand", trace.residuals()[:, None], ["residual"]),
     ):
         write_line_chart(outdir / name, title, "iteration k", ylabel, ks, ys, labels)
@@ -178,8 +183,8 @@ def _check_bounds(args, trace, problems, weights, lamstar):
 
 def _cmd_run(args):
     case, problems, weights, sched = _set_up(args)
-    if sched.normalized:  # refuse bad bound-check flags before anything is written
-        resolve_checks(args.iters, _parse_checkpoints(args.checkpoints), args.bounds_upto)
+    # refuse bad bound-check flags before anything is written, whatever the schedule
+    resolve_checks(args.iters, _parse_checkpoints(args.checkpoints), args.bounds_upto)
     trace = run_dlm(problems, weights, sched, args.iters)
 
     outdir = Path(args.out)

@@ -15,10 +15,11 @@ The primal step of a round and the cost terms of :meth:`RunTrace.lagrangians`
 and :meth:`RunTrace.total_cost` go through
 :class:`~netalloc.objectives.NodeCosts`, which alone chooses between numpy
 arrays and per-node calls; each Lagrangian row is one ``math.fsum`` over its
-nodes' terms. The CSV writers format ``.tolist()`` slices of about
-:data:`CSV_BLOCK_CELLS` cells with one ``%``-template; ``"%.17g" % x`` gives
-the same text as ``format(x, ".17g")``, and blocking keeps peak memory
-independent of the run length.
+nodes' terms. The CSV writers format blocks of about
+:data:`CSV_BLOCK_CELLS` cells with one bytes ``%``-template per round, the
+node indices baked into it, and write the bytes to a binary file;
+``b"%.17g" % x`` gives the bytes of ``format(x, ".17g")``, and blocking keeps
+peak memory independent of the run length.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ from .objectives import NodeCosts
 # Cells (one node at one round) formatted or summed per block by the writers.
 CSV_BLOCK_CELLS = 4096
 
-_TRACE_ROW = "%d,%d,%.17g,%.17g,%.17g\n"
+# a trace line with a slot for its node index, filled once per node; a summary line
+_TRACE_CELL = b"%%d,%d,%%.17g,%%.17g,%%.17g\n"
 _TRACE_DTYPE = [("k", "i8"), ("node", "i8"), ("x", "f8"), ("lambda", "f8"), ("v", "f8")]
-_SUMMARY_ROW = "%d,%.17g,%.17g,%.17g\n"
+_SUMMARY_ROW = b"%d,%.17g,%.17g,%.17g\n"
 
 
 def _row_blocks(rows, width):
@@ -45,6 +47,27 @@ def _row_blocks(rows, width):
     step = max(1, CSV_BLOCK_CELLS // width)
     for k0 in range(0, rows, step):
         yield k0, min(rows, k0 + step)
+
+
+def _write_csv(path, header, round_template, cols):
+    """Write ``header``, then ``round_template`` formatted once per row of the
+    ``(rows, cells)`` arrays ``cols``.
+
+    ``round_template`` holds one line per cell of a round, each formatting the
+    round ``k`` and then that cell of every column; blocks of rounds are
+    formatted by one ``%`` on the template repeated, with the arguments
+    interleaved by slice assignment.
+    """
+    rows, cells = cols[0].shape
+    stride = len(cols) + 1
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for k0, k1 in _row_blocks(rows, cells):
+            args = [0] * ((k1 - k0) * cells * stride)
+            args[0::stride] = np.repeat(np.arange(k0, k1), cells).tolist()
+            for j, col in enumerate(cols, start=1):
+                args[j::stride] = col[k0:k1].ravel().tolist()
+            fh.write(round_template * (k1 - k0) % tuple(args))
 
 
 def _entries(A):
@@ -151,35 +174,13 @@ class RunTrace:
 
     def to_csv(self, path):
         """Write the per-node trace: header ``k,node,x,lambda,v``, 17 significant digits."""
-        n = self.n
-        nodes = list(range(n))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("k,node,x,lambda,v\n")
-            for k0, k1 in _row_blocks(self.x.shape[0], n):
-                cells = zip(
-                    np.repeat(np.arange(k0, k1), n).tolist(),
-                    nodes * (k1 - k0),
-                    self.x[k0:k1].ravel().tolist(),
-                    self.lam[k0:k1].ravel().tolist(),
-                    self.v[k0:k1].ravel().tolist(),
-                )
-                fh.write("".join(map(_TRACE_ROW.__mod__, cells)))
+        template = b"".join(_TRACE_CELL % i for i in range(self.n))
+        _write_csv(path, b"k,node,x,lambda,v\n", template, (self.x, self.lam, self.v))
 
     def summary_to_csv(self, path):
         """Write derived columns: header ``k,residual,lagrangian,spread``."""
-        residuals = self.residuals()
-        lagrangians = self.lagrangians()
-        spreads = self.spreads()
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("k,residual,lagrangian,spread\n")
-            for k0, k1 in _row_blocks(self.x.shape[0], 4):
-                rows = zip(
-                    range(k0, k1),
-                    residuals[k0:k1].tolist(),
-                    lagrangians[k0:k1].tolist(),
-                    spreads[k0:k1].tolist(),
-                )
-                fh.write("".join(map(_SUMMARY_ROW.__mod__, rows)))
+        cols = (self.residuals(), self.lagrangians(), self.spreads())
+        _write_csv(path, b"k,residual,lagrangian,spread\n", _SUMMARY_ROW, tuple(c[:, None] for c in cols))
 
     @classmethod
     def from_csv(cls, path, problems, schedule):

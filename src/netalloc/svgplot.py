@@ -2,8 +2,12 @@
 
 Charts are simple polyline renderings with fixed geometry and formatting so
 that identical data always produces identical bytes; no timestamps or
-randomness enter the output. Long series are downsampled evenly for plotting
-only.
+randomness enter the output. A long block is reduced for plotting only, by
+M4 per pixel column (Jugel et al., "M4: A Visualization-Oriented Time Series
+Data Aggregation", PVLDB 7(10), 2014): a chart keeps the rows that are the
+first, the last, or some series' min or max within a pixel column, so it
+draws the pixels of the full block while its size follows the plot width,
+not the row count.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ MARGIN_LEFT = 72
 MARGIN_RIGHT = 24
 MARGIN_TOP = 44
 MARGIN_BOTTOM = 56
-MAX_POINTS = 2000
 
 
 def _fmt(x):
@@ -38,6 +41,24 @@ def _fmt(x):
 
 def _tick(x):
     return format(float(x), ".6g")
+
+
+def _m4_rows(columns, ys):
+    """The sorted, unique rows of ``ys`` that M4 keeps, given each row's pixel column.
+
+    For every pixel column, the union over the series (columns of ``ys``) of
+    the column's first and last row and the rows of each series' min and max.
+    """
+    by_column = np.argsort(columns, kind="stable")
+    grouped = columns[by_column]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    ends = np.r_[starts[1:], len(grouped)] - 1
+    keep = np.zeros(len(columns), dtype=bool)
+    keep[by_column[starts]] = keep[by_column[ends]] = True
+    for series in ys.T:
+        by_value = np.lexsort((series, columns))  # by column, then value
+        keep[by_value[starts]] = keep[by_value[ends]] = True
+    return np.flatnonzero(keep)
 
 
 def write_line_chart(path, title, xlabel, ylabel, xs, ys, labels):
@@ -112,17 +133,17 @@ def write_line_chart(path, title, xlabel, ylabel, xs, ys, labels):
         f'transform="rotate(-90 18 {MARGIN_TOP + plot_h // 2})">{ylabel}</text>'
     )
 
-    if len(xs) > MAX_POINTS:
-        rows = np.linspace(0, len(xs) - 1, MAX_POINTS).round().astype(int)
-        xs, ys = xs[rows], ys[rows]
-    # px and py broadcast over arrays with the same IEEE operations per point
-    pxs = px(xs).tolist()
+    # each row's pixel column; the plot's right edge belongs to its last column
+    columns = np.minimum(((xs - x_min) / (x_max - x_min) * plot_w).astype(np.intp), plot_w - 1)
+    rows = _m4_rows(columns, ys)
+    xs, ys = xs[rows], ys[rows]
+    # px and py broadcast over arrays with the same IEEE operations per point;
+    # the x coordinates, shared by every series, are baked into one template
+    points = " ".join(map("%.2f,%%.2f".__mod__, px(xs).tolist()))
     for idx, pys in enumerate(py(ys).T):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(map("%.2f,%.2f".__mod__, zip(pxs, pys.tolist())))
-        out.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.4"/>'
-        )
+        series = points % tuple(pys.tolist())
+        out.append(f'<polyline points="{series}" fill="none" stroke="{color}" stroke-width="1.4"/>')
 
     if len(labels) <= 10:
         for idx, label in enumerate(labels):

@@ -120,6 +120,26 @@ class TestRun:
         assert captured.err == f"error: ValueError: {reason}\n"
         assert not out.exists()
 
+    # the bounds are skipped when alpha(0) != 1, but their flags are still checked
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (("--checkpoints", "1,a", "--bounds-upto", "-5"), "--checkpoints '1,a': 'a' is not an integer"),
+            (("--bounds-upto", "-5"), "consensus_upto must be nonnegative, got -5"),
+        ],
+    )
+    def test_bad_bound_flags_fail_under_a_schedule_without_bounds(self, tmp_path, capsys, flags, reason):
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--case", "builtin:ieee14", "--graph", "cycle", "--schedule", "powerlaw:0.08:0.85",
+            "--iters", "10", *flags, "--out", str(out),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: {reason}\n"
+        assert not out.exists()
+
     def test_bad_split_token_is_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli(

@@ -17,18 +17,18 @@ GOLDEN = {
         "summary.csv": "53b64e684519a68005e9030fb4b70bf3e280d21f300901273e5433c5c39a2b4d",
         "oracle.csv": "ed3e044dab8678dc1ef4c6b4b829bf5f95fc15f4e7db96de53bb635a4ba519e1",
         "bounds.csv": "a43c0aeecfbbc81381f216e2cbc55556b799edd843ef0cb44b7c9c4b45a2077b",
-        "alloc.svg": "0fbedb01e04870e29a11e2c85f475f305f96f6d46a8df9121537534e2f36aa68",
-        "multipliers.svg": "92b03c4d92dcbbb78198884fc0363d5facde93b0c61d1f0dd02be5af78207c74",
-        "residual.svg": "a63ef4e0240b0ed643af1eef2047fa6256394d7e8dbaba632f1f1510ecf729fe",
+        "alloc.svg": "4c664b367f5d60bf79c07a622336f86d0d4de8465c094ef412024dd9ed1470ef",
+        "multipliers.svg": "28d21e3c76d1960f1e0bf8cbf51c0cbc0c23da5b9b4790bc2ff97cbbc4cf89e8",
+        "residual.svg": "323e4e33f80a0ffff5641c298da021c4646ce3aba2aea2ac015217117512d469",
     },
     ("synth:7", "bus-derived"): {
         "trace.csv": "468deb9bd4c1be8ecd421f9568f95a6d51ce30c59ae748650387a296e69f19a2",
         "summary.csv": "c077c5130f136892449d91a5cf77b4210c5f8fc7c9b12d2e0223e2f7a7e60e39",
         "oracle.csv": "ed7455e245c6f633fccf7af4fc8bdcfc8c7f9384fc4ed2523c0c4822ea84841b",
         "bounds.csv": "d6ff9eadac98d9615ea3334b569de7ed678b56a69250b95e906aafd9e5cfaeb5",
-        "alloc.svg": "5c83df02d297f63456954962fc6a50a6d687f732133bdc473dc1f9dd07c0eaf5",
-        "multipliers.svg": "942d683547820afcb51be15e056713824f4e9bd5c236ed63603b997c71452d03",
-        "residual.svg": "1e495d6eef842179c7178a70ba564a6d34bef3309ebf9b864e1a21764ef7d421",
+        "alloc.svg": "011f102953c87822a84570a7e46d3391725da40d2d9cad0f7d21608d5b25f464",
+        "multipliers.svg": "74ffaeaad921696a35221a6e1e0538b874355fe6dc8ca7db993df0da56775fd3",
+        "residual.svg": "d5a6e3e8871b25ee1429d82096654e0ab248206cfcbed7a4bb151718b49e0ce8",
     },
 }
 
