@@ -32,6 +32,7 @@ from .errors import HypothesisViolation
 from .graphs import WeightMatrix
 from .objectives import NodeCosts, subgradient_bound
 from .schedules import RecipSqrt
+from .simulator import _row_blocks
 
 GAP_NONNEGATIVITY_TOL = 1e-9
 
@@ -194,17 +195,19 @@ class BoundReport:
             fh.write(f"# summary {self.summary_json()}\n")
 
 
-def _dual_sum(problems):
-    """``lam -> sum_i q_i(lam)``, one ``fsum`` over the nodes' dual values,
-    which have the bits of :func:`~netalloc.objectives.dual_value`."""
+def _dual_sums(problems):
+    """``lam -> [sum_i q_i(lam), ...]`` for one shared multiplier or a column
+    ``(B, 1)`` of them: one ``fsum`` per multiplier over the nodes' dual
+    values, which have the bits of :func:`~netalloc.objectives.dual_value`."""
     costs = NodeCosts(problems)
     shares = np.array([p.share for p in problems], dtype=float)
 
-    def dual_sum(lam):
+    def dual_sums(lam):
         x_hat = costs.finite_argmin(lam)
-        return math.fsum((-(costs.value(x_hat) + lam * (x_hat - shares))).tolist())
+        terms = -(costs.value(x_hat) + lam * (x_hat - shares))
+        return [math.fsum(row) for row in terms.reshape(-1, shares.size).tolist()]
 
-    return dual_sum
+    return dual_sums
 
 
 def _row(k, observed, bound):
@@ -258,13 +261,15 @@ def check_bounds(trace, problems, A, lamstar, checkpoints=None, consensus_upto=N
         mean = trace.mean_multipliers()
         weighted_err = alphas[:, None] * np.abs(trace.lam - mean[:, None])
         cum_err = np.cumsum(weighted_err, axis=0)
-        dual_sum = _dual_sum(problems)
-        q_star = dual_sum(lamstar)
+        dual_sums = _dual_sums(problems)
+        (q_star,) = dual_sums(lamstar)
         for K in checkpoints:
             bound = weighted_consensus_bound(K, sigma2, lam0_l1, C, n)
             report.weighted_rows.append(_row(K, float(cum_err[K].max()), bound))
 
-            gaps = [dual_sum(avg) - q_star for avg in trace.time_weighted_averages(K)]
+            # the dual at each node's average, in blocks of about CSV_BLOCK_CELLS cells
+            avgs = trace.time_weighted_averages(K)[:, None]
+            gaps = [q - q_star for r0, r1 in _row_blocks(n, n) for q in dual_sums(avgs[r0:r1])]
             report.min_gap = min(report.min_gap, min(gaps))
             report.gap_rows.append(_row(K, max(gaps), rate_bound(K, n, sigma2, C, lam0, lamstar)))
 

@@ -182,6 +182,7 @@ class NodeCosts:
             ]
             columns = np.array(coefficients, dtype=float).reshape(-1, 5).T
             self._gamma, self._beta, self._mu, self._lo, self._hi = np.ascontiguousarray(columns)
+            self._twice_gamma = 2.0 * self._gamma
 
     def value(self, x):
         """``f_i(x_i)`` for an ``x`` whose last axis runs over the nodes."""
@@ -193,18 +194,34 @@ class NodeCosts:
             dst[:] = [p.cost.value(xi) for p, xi in zip(self._problems, row)]
         return out
 
-    def argmin(self, v):
-        """Every node's :func:`primal_argmin`; ``v`` is one multiplier per node
-        or one scalar shared by every node."""
+    def argmin(self, v, out=None):
+        """Every node's :func:`primal_argmin`, written into ``out`` when given.
+
+        ``v`` broadcasts against the nodes on its last axis: one multiplier
+        per node, one scalar shared by every node, or a column ``(B, 1)`` of
+        shared multipliers, one per row of the ``(B, n)`` result.
+        """
+        n = len(self._problems)
+        if out is None:
+            out = np.empty(np.broadcast_shapes(np.shape(v), (n,)))
         if self.vectorised:
-            return np.minimum(np.maximum((-v - self._beta) / (2.0 * self._gamma), self._lo), self._hi)
+            # clamp((-v - beta) / (2 gamma), lo, hi), one operation at a time
+            np.negative(v, out=out)
+            np.subtract(out, self._beta, out=out)
+            np.divide(out, self._twice_gamma, out=out)
+            np.maximum(out, self._lo, out=out)
+            return np.minimum(out, self._hi, out=out)
         if np.ndim(v) == 0:
-            return np.array([primal_argmin(p, v) for p in self._problems], dtype=float)
-        return np.array([primal_argmin(p, vi) for p, vi in zip(self._problems, v)], dtype=float)
+            out[...] = [primal_argmin(p, v) for p in self._problems]
+            return out
+        for row, dst in zip(np.broadcast_to(v, out.shape).reshape(-1, n), out.reshape(-1, n)):
+            dst[:] = [primal_argmin(p, vi) for p, vi in zip(self._problems, row)]
+        return out
 
     def finite_argmin(self, lam):
-        """:meth:`argmin` at a shared multiplier ``lam``, or ValueError naming
-        the first node whose argmin is not finite and ``lam``: a
+        """:meth:`argmin` at a shared multiplier ``lam``, a scalar or a column
+        ``(B, 1)`` of them, or ValueError naming the first row's multiplier
+        and node, in row-major order, whose argmin is not finite: a
         ``GenericConvex`` argmin oracle can return NaN, which the interval's
         clamp lets through. Strictly convex quadratics have finite argmins at
         a finite ``lam`` and are not checked."""
@@ -212,9 +229,11 @@ class NodeCosts:
         if not self.vectorised:
             bad = ~np.isfinite(x)
             if bad.any():
-                i = int(np.argmax(bad))
+                first = int(np.argmax(bad))
+                r, i = divmod(first, x.shape[-1])
+                shared = lam if np.ndim(lam) == 0 else np.ravel(lam)[r]
                 raise ValueError(
-                    f"non-finite argmin x={float(x[i])} at node {i} for multiplier lam={lam!r}"
+                    f"non-finite argmin x={float(x.flat[first])} at node {i} for multiplier lam={shared!r}"
                 )
         return x
 

@@ -19,6 +19,7 @@ from netalloc import (
     check_bounds,
     consensus_error_bound,
     default_checkpoints,
+    dual_value,
     global_subgradient_bound,
     lagrangian_value,
     metropolis_weights,
@@ -28,7 +29,7 @@ from netalloc import (
     solve_centralized,
     weighted_consensus_bound,
 )
-from netalloc.bounds import resolve_checks
+from netalloc.bounds import _dual_sums, resolve_checks
 from netalloc.graphs import cycle_graph
 from netalloc.objectives import NodeCosts
 from conftest import SUITE_SEED, random_connected_graph, random_quadratic_instance
@@ -298,6 +299,51 @@ class TestVectorisedPaths:
         assert len(fast_report.gap_rows) == 4
         assert bits(fast_report.gap_rows) == bits(slow_report.gap_rows)
         assert bits(fast_report.min_gap) == bits(slow_report.min_gap)
+
+    @pytest.mark.parametrize("family", ["quadratic", "generic"])
+    def test_dual_gap_blocks_match_per_average_dual_sum(self, rng, family):
+        # n = 70 makes two blocks of averages; each block's dual sums have the
+        # bits of one fsum of dual_value per average, as node by node
+        problems, total = random_quadratic_instance(rng, n=70)
+        lamstar = solve_centralized(problems, total).lam_star
+        if family == "generic":
+            problems = as_generic(problems)
+        w = metropolis_weights(random_connected_graph(rng, 70, extra_edge_prob=0.05))
+        trace = run_dlm(problems, w, RecipSqrt(), 60, init_lams=rng.uniform(-5, 5, 70))
+        report = check_bounds(trace, problems, w, lamstar, checkpoints=[1, 60])
+
+        def dual_sum(lam):
+            return math.fsum(dual_value(p, lam) for p in problems)
+
+        q_star = dual_sum(lamstar)
+        gaps = {K: [dual_sum(avg) - q_star for avg in trace.time_weighted_averages(K)] for K in (1, 60)}
+        assert bits([r[1] for r in report.gap_rows]) == bits([max(gaps[1]), max(gaps[60])])
+        assert bits(report.min_gap) == bits(min(gaps[1] + gaps[60]))
+        avgs = trace.time_weighted_averages(60)
+        assert bits(_dual_sums(problems)(avgs[:, None])) == bits([dual_sum(avg) for avg in avgs])
+
+    def test_dual_gap_names_first_average_and_node_with_non_finite_argmin(self, rng):
+        # nodes 3 and 5 return NaN above a threshold that only later averages
+        # of the block pass: the error names the first such average, then node 3
+        problems, total = random_quadratic_instance(rng, n=8)
+        lamstar = solve_centralized(problems, total).lam_star
+        w = metropolis_weights(cycle_graph(8))
+        trace = run_dlm(problems, w, RecipSqrt(), 30, init_lams=np.arange(8.0))
+        avgs = trace.time_weighted_averages(10)
+        cut = float(np.sort(avgs)[4])
+        generic = list(as_generic(problems))
+        for i in (3, 5):
+            q = problems[i].cost
+            def argmin(c, lo, hi, q=q):
+                return math.nan if c >= cut else -(q.beta + c) / (2.0 * q.gamma)
+
+            generic[i] = LocalProblem(GenericConvex(q.value, argmin), problems[i].interval, problems[i].share)
+        first = next(avg for avg in avgs if avg >= cut)
+        message = f"non-finite argmin x=nan at node 3 for multiplier lam={first!r}"
+        assert lamstar < cut
+        with pytest.raises(ValueError) as err:
+            check_bounds(dataclasses.replace(trace, problems=generic), generic, w, lamstar, checkpoints=[10])
+        assert str(err.value) == message
 
     def test_oracle_quadratic_aggregate_matches_per_node_path(self, rng):
         problems, _ = random_quadratic_instance(rng, n=9)

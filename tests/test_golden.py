@@ -13,22 +13,22 @@ from netalloc.cli import main
 
 GOLDEN = {
     ("builtin:ieee14", "cycle"): {
-        "trace.csv": "10997faa023586b231c34b30e122d90f498e2e94c181e6d79b8550085cf51d0c",
-        "summary.csv": "53b64e684519a68005e9030fb4b70bf3e280d21f300901273e5433c5c39a2b4d",
+        "trace.csv": "7c2f10e98494037cc38f04d9cd9f70e8ef98cfe11af2ef89ff472c3604639a4d",
+        "summary.csv": "f46ce38d4f8d189f5be937155fb1d57b4e5b9636d9afc24fd763d2a611caee7a",
         "oracle.csv": "ed3e044dab8678dc1ef4c6b4b829bf5f95fc15f4e7db96de53bb635a4ba519e1",
-        "bounds.csv": "a43c0aeecfbbc81381f216e2cbc55556b799edd843ef0cb44b7c9c4b45a2077b",
+        "bounds.csv": "ae950995cb4ad24d3c701efe9f623de3eea2e50fe97c935696cf8ae2e7f793b9",
         "alloc.svg": "4c664b367f5d60bf79c07a622336f86d0d4de8465c094ef412024dd9ed1470ef",
         "multipliers.svg": "28d21e3c76d1960f1e0bf8cbf51c0cbc0c23da5b9b4790bc2ff97cbbc4cf89e8",
         "residual.svg": "323e4e33f80a0ffff5641c298da021c4646ce3aba2aea2ac015217117512d469",
     },
     ("synth:7", "bus-derived"): {
-        "trace.csv": "468deb9bd4c1be8ecd421f9568f95a6d51ce30c59ae748650387a296e69f19a2",
-        "summary.csv": "c077c5130f136892449d91a5cf77b4210c5f8fc7c9b12d2e0223e2f7a7e60e39",
+        "trace.csv": "248f901ef974fe90e89729e2c8dbfa0b9d200d0b053651396767aea35e6a813e",
+        "summary.csv": "30271d627d68277009a377a787dfab64cc5504044443da604fe06198b7454d99",
         "oracle.csv": "ed7455e245c6f633fccf7af4fc8bdcfc8c7f9384fc4ed2523c0c4822ea84841b",
-        "bounds.csv": "d6ff9eadac98d9615ea3334b569de7ed678b56a69250b95e906aafd9e5cfaeb5",
-        "alloc.svg": "011f102953c87822a84570a7e46d3391725da40d2d9cad0f7d21608d5b25f464",
-        "multipliers.svg": "74ffaeaad921696a35221a6e1e0538b874355fe6dc8ca7db993df0da56775fd3",
-        "residual.svg": "d5a6e3e8871b25ee1429d82096654e0ab248206cfcbed7a4bb151718b49e0ce8",
+        "bounds.csv": "ee52898b3277b00e259ae3a6dccc247f8c066346e376a0071f63ef2f73d930a3",
+        "alloc.svg": "245838ea5f8edf53d0f0f1d226f1ae049d86161aa89c9fe34b9124fe8a92ab53",
+        "multipliers.svg": "a5b463d4c2382b6c203d0edd86826356ecf3eb08cd160d0a8d0bfbd6c3e67e6f",
+        "residual.svg": "a47aeb98655c4896a56f90fc2c42123e8c2f96034dd81831e6f301caaa8e16e8",
     },
 }
 

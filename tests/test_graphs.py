@@ -21,7 +21,7 @@ from netalloc import (
     second_largest_singular_value,
     validate_weight_matrix,
 )
-from netalloc.graphs import component_labels
+from netalloc.graphs import STOCHASTIC_TOL, component_labels
 from conftest import SUITE_SEED, random_connected_graph
 
 
@@ -177,6 +177,102 @@ class TestValidateWeightMatrix:
         a = np.array([[0.8, 0.2, 0.0], [0.2, 0.6, 0.2], [0.0, 0.2, 0.8]])
         w = validate_weight_matrix(a, g)
         assert 0.0 < w.sigma2 < 1.0
+
+    def test_keeps_csr_arrays_of_entries(self, suite_rng):
+        w = metropolis_weights(random_connected_graph(suite_rng, 9))
+        rows, cols = np.nonzero(w.entries)
+        assert w.indptr.tolist() == [0, *np.cumsum(np.bincount(rows, minlength=9)).tolist()]
+        assert w.indices.tolist() == cols.tolist()
+        assert w.data.tobytes() == w.entries[rows, cols].tobytes()
+        assert not any(x.flags.writeable for x in (w.entries, w.indptr, w.indices, w.data))
+
+    @pytest.mark.parametrize("zeros", [[-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]])
+    def test_rows_before_columns_and_a_zero_total_keeps_its_sign(self, zeros):
+        # column 0 is off first in column order, but row 1 comes first; its
+        # total is the fsum of the dense row (whose sign of zero depends on
+        # the Python version), not of its stored diagonal alone
+        g = path_graph(3)
+        a = np.array([[0.7, 0.3, 0.0], zeros, [0.0, 0.7, 0.3]])
+        with pytest.raises(RowSumViolation) as err:
+            validate_weight_matrix(a, g)
+        total = math.fsum(zeros)
+        assert err.value.args == RowSumViolation(1, total).args
+        assert str(err.value) == f"row 1 sums to {total!r}, expected 1"
+
+    def test_violating_row_comes_before_a_row_fsum_cannot_add(self):
+        # row 2's fsum raises (inf + -inf); row 0, earlier, is reported
+        g = complete_graph(3)
+        a = np.array([[0.5, 0.2, 0.2], [0.3, 0.4, 0.3], [np.inf, -np.inf, 0.5]])
+        with pytest.raises(RowSumViolation) as err:
+            validate_weight_matrix(a, g)
+        assert err.value.index == 0
+        a[0, 0] = 0.6
+        with pytest.raises(ValueError, match="inf"):
+            validate_weight_matrix(a, g)
+
+    def test_first_violation_matches_dense_loops(self, suite_rng):
+        # random faults in Metropolis matrices: the CSR sums report the same
+        # first violation, with the same arguments, as one fsum per dense row
+        # and column did
+        rng = np.random.default_rng(SUITE_SEED + 11)  # private stream: the suite stream is unchanged
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            g = random_connected_graph(rng, n)
+            a = metropolis_weights(g).entries.copy()
+            for _ in range(int(rng.integers(1, 4))):
+                i, j, k = rng.integers(0, n, 3)
+                kind = int(rng.integers(0, 6))
+                if kind == 0:
+                    a[i, j] += float(rng.choice([1e-6, -1e-6, 1e-12]))
+                elif kind == 1:
+                    a[i, :] = -0.0
+                elif kind == 2:
+                    a[:, j] = -0.0
+                elif kind == 3:
+                    a[i, j], a[i, k] = np.inf, -np.inf
+                elif kind == 4:
+                    a[i, j] = np.nan
+                else:  # move mass within a row: the row sum holds, columns break
+                    d = float(rng.uniform(0.0, 0.1))
+                    a[i, j] -= d
+                    a[i, k] += d
+            assert outcome(validate_weight_matrix, a, g) == outcome(reference_validate, a, g)
+
+
+def reference_validate(a, g):
+    """The dense-loop validation ``validate_weight_matrix`` ran before its CSR
+    arrays, up to its first error, or None."""
+    for i in range(g.n):
+        total = math.fsum(a[i, :].tolist())
+        if abs(total - 1.0) > STOCHASTIC_TOL:
+            raise RowSumViolation(i, total)
+    for j in range(g.n):
+        total = math.fsum(a[:, j].tolist())
+        if abs(total - 1.0) > STOCHASTIC_TOL:
+            raise ColSumViolation(j, total)
+    bad_diag = ~(np.diag(a) > 0.0)
+    if bad_diag.any():
+        i = int(np.argmax(bad_diag))
+        raise ZeroDiagonal(i, a[i, i])
+    i, j = g.edges.T
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    adj[i, j] = adj[j, i] = True
+    off_edge = ~adj
+    np.fill_diagonal(off_edge, False)
+    bad = (adj & ~(a > 0.0)) | (off_edge & (a != 0.0))
+    if bad.any():
+        i, j = divmod(int(np.argmax(bad)), g.n)
+        raise SparsityMismatch(i, j, a[i, j], bool(adj[i, j]))
+    return None
+
+
+def outcome(validate, a, g):
+    """The type, message and argument reprs of what ``validate(a, g)`` raises, or "ok"."""
+    try:
+        validate(a, g)
+    except (ValueError, OverflowError, RowSumViolation, ColSumViolation, ZeroDiagonal, SparsityMismatch) as exc:
+        return type(exc).__name__, str(exc), repr(exc.args)
+    return "ok"
 
 
 class TestSigma2:

@@ -19,6 +19,7 @@ from netalloc import (
     lagrangian_value,
     metropolis_weights,
     path_graph,
+    primal_argmin,
     run_dlm,
     solve_centralized,
 )
@@ -53,17 +54,62 @@ class TestConsensusStep:
             consensus_step(AVG, np.zeros(3))
 
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
-    def test_rounds_match_product_row_sums(self, layout):
-        # run_dlm reuses one product buffer; its row sums must give the bits of
-        # (a * lam).sum(axis=1) whatever the matrix's memory layout
+    def test_rounds_match_consensus_step_near_dense_product(self, layout):
+        # run_dlm and consensus_step share one CSR round, whatever the matrix's
+        # memory layout; its sums group terms differently from the dense
+        # product's, within n * eps * sum_j |a_ij lam_j|
         rng = np.random.default_rng(11)  # private stream: the suite stream is unchanged
         a = layout(metropolis_weights(random_connected_graph(rng, 40)).entries)
         problems, _ = random_quadratic_instance(rng, 40)
         trace = run_dlm(problems, a, RecipSqrt(), 30, init_lams=rng.uniform(-5, 5, 40))
         for k in range(30):
-            expected = (a * trace.lam[k]).sum(axis=1)
-            assert trace.v[k + 1].tobytes() == expected.tobytes()
-            assert consensus_step(a, trace.lam[k]).tobytes() == expected.tobytes()
+            v = consensus_step(a, trace.lam[k])
+            assert trace.v[k + 1].tobytes() == v.tobytes()
+            scale = 40 * np.finfo(float).eps * (np.abs(a) * np.abs(trace.lam[k])).sum(axis=1)
+            assert (np.abs(v - (a * trace.lam[k]).sum(axis=1)) <= scale).all()
+
+    def test_all_zero_rows_average_to_zero(self):
+        # an empty row sums to 0, not to a neighbouring row's first product
+        a = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
+        out = consensus_step(a, np.array([1.0, 2.0, 3.0]))
+        assert out.tolist() == [0.0, 1.5, 0.0]
+
+    @pytest.mark.parametrize("family", ["quadratic", "generic"])
+    def test_in_place_round_matches_allocating_expression(self, family):
+        # run_dlm writes v, x and lam into its history rows; each has the bits
+        # of the round's allocating expression
+        rng = np.random.default_rng(12)  # private stream: the suite stream is unchanged
+        problems, _ = random_quadratic_instance(rng, 9)
+        if family == "quadratic":
+            gamma, beta = (np.array([getattr(p.cost, name) for p in problems]) for name in ("gamma", "beta"))
+            lo, hi = (np.array([getattr(p.interval, name) for p in problems]) for name in ("lo", "hi"))
+
+            def argmin(v):
+                return np.minimum(np.maximum((-v - beta) / (2.0 * gamma), lo), hi)
+
+        else:
+            problems = [
+                LocalProblem(
+                    GenericConvex(p.cost.value, lambda c, lo, hi, q=p.cost: -(q.beta + c) / (2.0 * q.gamma)),
+                    p.interval,
+                    p.share,
+                )
+                for p in problems
+            ]
+
+            def argmin(v):
+                return np.array([primal_argmin(p, vi) for p, vi in zip(problems, v)])
+
+        w = metropolis_weights(random_connected_graph(rng, 9))
+        sched = RecipSqrt()
+        trace = run_dlm(problems, w, sched, 25, init_lams=rng.uniform(-5, 5, 9))
+        alphas = sched.alphas(25)
+        for k in range(25):
+            v = consensus_step(w, trace.lam[k])
+            x = argmin(v)
+            lam = v - alphas[k] * (trace.b - x)
+            got = (trace.v[k + 1], trace.x[k + 1], trace.lam[k + 1])
+            assert [g.tobytes() for g in got] == [v.tobytes(), x.tobytes(), lam.tobytes()]
 
 
 def one_round(lam0, alpha, x1, share):
