@@ -49,7 +49,6 @@ from .graphs import (
     WeightMatrix,
     complete_graph,
     cycle_graph,
-    max_degree_weights,
     metropolis_weights,
     parse_edge_list,
     path_graph,
@@ -61,7 +60,6 @@ from .objectives import (
     GenericConvex,
     LocalProblem,
     Quadratic,
-    dual_subgradient,
     dual_value,
     golden_section_min,
     primal_argmin,

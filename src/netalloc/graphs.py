@@ -5,8 +5,8 @@ doubly stochastic matrix ``A`` whose sparsity matches an undirected connected
 graph. :class:`GraphTopology` holds that graph as one sorted array of edges
 ``i < j`` and learns whether it is connected once, when it is built, from
 :func:`component_labels`, the one connectivity routine, which also labels the
-load-bus components of the bus-derived graph. The weight functions fill and
-check their matrices from that array.
+load-bus components of the bus-derived graph. :func:`metropolis_weights`
+fills and checks its matrix from that array.
 
 A validated :class:`WeightMatrix` keeps, next to its dense entries, their
 row-major CSR arrays (:func:`csr_arrays`): the simulator's consensus round
@@ -232,19 +232,6 @@ def metropolis_weights(g):
     return validate_weight_matrix(a, g)
 
 
-def max_degree_weights(g):
-    """Lazy max-degree weights: ``1 / (2 * max_degree)`` on every edge."""
-    if not g.connected:
-        raise DisconnectedGraph("max-degree weights require a connected graph")
-    deg = g.degrees()
-    w = 1.0 / (2.0 * deg.max())
-    i, j = g.edges.T
-    a = np.zeros((g.n, g.n))
-    a[i, j] = a[j, i] = w
-    a[np.diag_indices(g.n)] = 1.0 - deg * w
-    return validate_weight_matrix(a, g)
-
-
 def validate_weight_matrix(entries, g):
     """Validate a raw matrix against a graph and wrap it as a WeightMatrix.
 
@@ -257,7 +244,9 @@ def validate_weight_matrix(entries, g):
     Each sum is one ``math.fsum`` over the stored entries of a row or column
     of :func:`csr_arrays`: the zeros it skips change neither the sum nor the
     verdict. The total a violation reports is the fsum of the dense row or
-    column, which keeps the sign of an all-zero one.
+    column, which keeps the sign of an all-zero one. The column sums of a
+    symmetric matrix (``a == a.T``, as Metropolis weights are) are its row
+    sums, since ``fsum`` is exact, so they are not taken again.
     """
     a = np.asarray(entries, dtype=float)
     if a.shape != (g.n, g.n):
@@ -266,10 +255,12 @@ def validate_weight_matrix(entries, g):
     i = _first_off_one(indptr, data)
     if i is not None:
         raise RowSumViolation(i, math.fsum(a[i, :].tolist()))
-    by_column = np.argsort(indices, kind="stable")  # row order within each column
-    j = _first_off_one(_offsets(indices, g.n), data[by_column])
-    if j is not None:
-        raise ColSumViolation(j, math.fsum(a[:, j].tolist()))
+    # a symmetric matrix's columns are its rows, whose exact sums just passed
+    if not np.array_equal(a, a.T):
+        by_column = np.argsort(indices, kind="stable")  # row order within each column
+        j = _first_off_one(_offsets(indices, g.n), data[by_column])
+        if j is not None:
+            raise ColSumViolation(j, math.fsum(a[:, j].tolist()))
     bad_diag = ~(np.diag(a) > 0.0)
     if bad_diag.any():
         i = int(np.argmax(bad_diag))

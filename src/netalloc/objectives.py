@@ -52,9 +52,6 @@ class FeasibleInterval:
     def clamp(self, x):
         return min(max(x, self.lo), self.hi)
 
-    def contains(self, x):
-        return self.lo <= x <= self.hi
-
 
 def golden_section_min(fn, lo, hi, tol=GOLDEN_SECTION_TOL):
     """Deterministic golden-section minimizer for a convex ``fn`` on ``[lo, hi]``.
@@ -259,11 +256,6 @@ def dual_value(p, lam):
     if not math.isfinite(x_hat):
         raise ValueError(f"non-finite argmin x={x_hat} for multiplier lam={lam!r}")
     return -(p.cost.value(x_hat) + lam * (x_hat - p.share))
-
-
-def dual_subgradient(p, v):
-    """A subgradient of ``q_i`` at ``v``: the share minus the primal argmin."""
-    return p.share - primal_argmin(p, v)
 
 
 def subgradient_bound(p):

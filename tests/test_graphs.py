@@ -14,7 +14,6 @@ from netalloc import (
     ZeroDiagonal,
     complete_graph,
     cycle_graph,
-    max_degree_weights,
     metropolis_weights,
     parse_edge_list,
     path_graph,
@@ -103,18 +102,6 @@ class TestMetropolisWeights:
             w = metropolis_weights(random_connected_graph(suite_rng, n))
             assert np.abs(w.entries.sum(axis=0) - 1.0).max() <= 1e-12
             assert np.abs(w.entries.sum(axis=1) - 1.0).max() <= 1e-12
-
-
-class TestMaxDegreeWeights:
-    def test_lazy_diagonal(self):
-        w = max_degree_weights(path_graph(4))
-        assert (np.diag(w.entries) >= 0.5).all()
-
-    def test_doubly_stochastic(self, suite_rng):
-        g = random_connected_graph(suite_rng, 8)
-        w = max_degree_weights(g)
-        assert np.abs(w.entries.sum(axis=0) - 1.0).max() <= 1e-12
-        assert np.abs(w.entries.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 class TestValidateWeightMatrix:
@@ -237,6 +224,46 @@ class TestValidateWeightMatrix:
                     a[i, j] -= d
                     a[i, k] += d
             assert outcome(validate_weight_matrix, a, g) == outcome(reference_validate, a, g)
+
+    def test_symmetric_faults_match_dense_loops(self):
+        # faults placed symmetrically keep a == a.T, where the column sums
+        # are not taken again: the first violation and its arguments must
+        # still be those of one fsum per dense row and column
+        rng = np.random.default_rng(SUITE_SEED + 17)  # private stream
+        seen = {}
+        symmetric = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 9))
+            g = random_connected_graph(rng, n)
+            a = metropolis_weights(g).entries.copy()
+            for _ in range(int(rng.integers(1, 3))):
+                i, j, k = (int(v) for v in rng.integers(0, n, 3))
+                kind = int(rng.integers(0, 6))
+                if kind == 0:
+                    a[i, j] = a[j, i] = a[i, j] + float(rng.choice([1e-6, -1e-6, 1e-12]))
+                elif kind == 1:
+                    a[i, :] = a[:, i] = -0.0
+                elif kind == 2:
+                    a[i, j] = a[j, i] = np.inf
+                    a[i, k] = a[k, i] = -np.inf
+                elif kind == 3:
+                    a[i, j] = a[j, i] = np.nan
+                elif kind == 4 and i != j:  # drop an entry, keeping rows i and j
+                    a[i, i] += a[i, j]
+                    a[j, j] += a[j, i]
+                    a[i, j] = a[j, i] = 0.0
+                elif kind == 5 and i != j:  # node i's diagonal moves onto the pair (i, j)
+                    d = a[i, i]
+                    a[i, j] = a[j, i] = a[i, j] + d
+                    a[i, i] = 0.0
+                    a[j, j] -= d
+            symmetric += np.array_equal(a, a.T)
+            expected = outcome(reference_validate, a, g)
+            assert outcome(validate_weight_matrix, a, g) == expected
+            kind = expected if expected == "ok" else expected[0]
+            seen[kind] = seen.get(kind, 0) + 1
+        assert symmetric >= 300
+        assert set(seen) >= {"RowSumViolation", "ValueError", "ZeroDiagonal", "SparsityMismatch", "ok"}, seen
 
 
 def reference_validate(a, g):
@@ -391,7 +418,7 @@ def reference_metropolis(n, edges):
 
 
 def reference_max_degree(n, edges):
-    """The per-edge loop ``max_degree_weights`` ran before its edge arrays."""
+    """Lazy max-degree weights, ``1 / (2 * max_degree)`` on every edge, edge by edge."""
     deg = reference_degrees(n, edges)
     w = 1.0 / (2.0 * max(deg))
     a = np.zeros((n, n))
@@ -437,7 +464,7 @@ def random_edge_list(rng):
 
 
 class TestEdgeArraysMatchReferences:
-    """``GraphTopology`` and both weight functions against their old loops."""
+    """``GraphTopology`` and the weights against their old loops."""
 
     def test_random_edge_lists(self):
         rng = np.random.default_rng(SUITE_SEED + 7)  # private stream
@@ -461,8 +488,9 @@ class TestEdgeArraysMatchReferences:
                 outcomes["connected"] += 1
                 entries = metropolis_weights(g).entries
                 assert entries.tobytes() == reference_metropolis(n, expected).tobytes()
-                entries = max_degree_weights(g).entries
-                assert entries.tobytes() == reference_max_degree(n, expected).tobytes()
+                # a valid weight matrix that is not a Metropolis one
+                lazy = reference_max_degree(n, expected)
+                assert validate_weight_matrix(lazy, g).entries.tobytes() == lazy.tobytes()
             else:
                 outcomes["disconnected"] += 1
         assert min(outcomes.values()) >= 100, outcomes

@@ -10,7 +10,6 @@ from netalloc import (
     GenericConvex,
     LocalProblem,
     Quadratic,
-    dual_subgradient,
     dual_value,
     golden_section_min,
     primal_argmin,
@@ -150,22 +149,12 @@ class TestDualValue:
         for _ in range(200):
             u, v = suite_rng.uniform(-6, 6, size=2)
             lhs = dual_value(p, u)
-            rhs = dual_value(p, v) + dual_subgradient(p, v) * (u - v)
+            rhs = dual_value(p, v) + (p.share - primal_argmin(p, v)) * (u - v)
             assert lhs >= rhs - 1e-9
 
 
 class TestDualSubgradient:
-    def test_definitional(self):
-        p = gen1_problem(share=60.0)
-        assert dual_subgradient(p, -4.0) == pytest.approx(60.0 - 25.0, abs=1e-12)
-
-    def test_zero_at_stationarity(self):
-        p = gen1_problem(share=25.0)
-        assert dual_subgradient(p, -4.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_clamped_case(self):
-        p = gen1_problem(share=60.0)
-        assert dual_subgradient(p, -10.0) == pytest.approx(-20.0, abs=1e-12)
+    """The dual subgradient ``b_i - x_hat`` that the simulator's dual step uses."""
 
     def test_bounded_by_subgradient_bound(self, suite_rng):
         for _ in range(300):
@@ -177,7 +166,7 @@ class TestDualSubgradient:
                 float(suite_rng.uniform(-15, 15)),
             )
             v = float(suite_rng.uniform(-20, 20))
-            assert abs(dual_subgradient(p, v)) <= subgradient_bound(p) + 1e-15
+            assert abs(p.share - primal_argmin(p, v)) <= subgradient_bound(p) + 1e-15
 
 
 class TestSubgradientBound:

@@ -57,7 +57,7 @@ def brute_force_best(problems, b, points=200):
         total += last.cost.gamma * residual * residual + last.cost.beta * residual + last.cost.mu
         best = float(total.min())
     else:
-        if last.interval.contains(b):
+        if last.interval.lo <= b <= last.interval.hi:
             best = last.cost.value(b)
     return best
 
@@ -130,9 +130,7 @@ class TestBuiltinCaseRegression:
                 x = sol.x_star.copy()
                 x[i] += 0.01
                 x[j] -= 0.01
-                if not (
-                    problems[i].interval.contains(x[i]) and problems[j].interval.contains(x[j])
-                ):
+                if not all(problems[k].interval.lo <= x[k] <= problems[k].interval.hi for k in (i, j)):
                     continue
                 cost = math.fsum(p.cost.value(x[k]) for k, p in enumerate(problems))
                 assert cost >= base - 1e-9
@@ -215,7 +213,7 @@ class TestRandomInstances:
             LocalProblem(Quadratic(0.0, 2.0), FeasibleInterval(0.0, 4.0), 2.0),
         ]
         sol = solve_centralized(problems, 4.0)
-        assert all(p.interval.contains(x) for p, x in zip(problems, sol.x_star))
+        assert all(p.interval.lo <= x <= p.interval.hi for p, x in zip(problems, sol.x_star))
         assert sol.residual <= 4.0
         assert sol.f_star <= brute_force_best(problems, 4.0, points=401) + 1e-6
 
