@@ -55,24 +55,30 @@ def _require_normalized(sched):
 
 
 def consensus_error_bound(k, sched, sigma2, lam0_l1, C, n):
-    """Per-iteration consensus-error bound, evaluated by direct summation.
-
-    The geometric sum is accumulated with exact rounding since it is
-    ill-conditioned for ``sigma2`` near 1.
-    """
+    """Per-iteration consensus-error bound at ``k``, as :func:`check_bounds`
+    computes it (:func:`_consensus_bounds`)."""
     _require_normalized(sched)
     k = int(k)
     if k < 0:
         raise ValueError(f"iteration index must be nonnegative, got {k}")
-    return _consensus_bound(k, sched.alphas(k), sigma2 ** np.arange(k, dtype=float), sigma2, lam0_l1, C, n)
+    return _consensus_bounds(k, sched.alphas(k), sigma2, lam0_l1, C, n)[k]
 
 
-def _consensus_bound(k, alphas, powers, sigma2, lam0_l1, C, n):
-    """:func:`consensus_error_bound` at ``k`` from prefixes ``alphas[:k]`` of the
-    schedule and ``powers[:k]`` of ``sigma2 ** arange``; ``fsum`` rounds once,
-    whatever the order of its terms."""
-    tail = math.fsum((alphas[:k] * powers[:k][::-1]).tolist())
-    return float(sigma2**k * lam0_l1 + math.sqrt(n) * C * tail)
+def _consensus_bounds(upto, alphas, sigma2, lam0_l1, C, n):
+    """Consensus-error bounds at ``k = 0 .. upto`` from the schedule's first
+    ``upto`` values ``alphas``.
+
+    The geometric term ``S(k) = sum_{t<k} alpha(t) * sigma2**(k-1-t)`` comes
+    from ``S(k) = sigma2 * S(k-1) + alpha(k-1)``, ``S(0) = 0``: one multiply
+    and one add per ``k``, O(upto) in all. Its terms are positive and
+    ``sigma2 <= 1`` damps the errors of earlier steps, so ``S(k)`` is within
+    about ``2 k eps`` relative of its exact value.
+    """
+    tails = [0.0]
+    for alpha in alphas[:upto].tolist():
+        tails.append(sigma2 * tails[-1] + alpha)
+    scale = math.sqrt(n) * C
+    return [float(sigma2**k * lam0_l1 + scale * tail) for k, tail in enumerate(tails)]
 
 
 def weighted_consensus_bound(K, sigma2, lam0_l1, C, n):
@@ -249,12 +255,9 @@ def check_bounds(trace, problems, A, lamstar, checkpoints=None, consensus_upto=N
         schedule_name=getattr(sched, "name", str(sched)),
     )
 
-    alphas = sched.alphas(upto)
-    powers = sigma2 ** np.arange(upto, dtype=float)
-    report.consensus_rows = [
-        _row(k, observed, _consensus_bound(k, alphas, powers, sigma2, lam0_l1, C, n))
-        for k, observed in enumerate(trace.spreads()[: upto + 1].tolist())
-    ]
+    observed = trace.spreads()[: upto + 1].tolist()
+    bounds = _consensus_bounds(upto, sched.alphas(upto), sigma2, lam0_l1, C, n)
+    report.consensus_rows = [_row(k, *pair) for k, pair in enumerate(zip(observed, bounds))]
 
     if isinstance(sched, RecipSqrt):
         alphas = sched.alphas(T + 1)

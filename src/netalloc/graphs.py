@@ -18,8 +18,14 @@ of 140-210 us for a whole round over a 300-node cycle; see
 node's incident edge weights, O(nnz) in all.
 
 The key spectral quantity is ``sigma2``, the second-largest singular value of
-``A``: disagreement between nodes decays like ``sigma2**k``. It is computed
-exactly, by a dense SVD of ``A``, at every order.
+``A``: disagreement between nodes decays like ``sigma2**k``, and the bounds
+grow like ``1 / (1 - sigma2)``. For a bitwise symmetric ``A``, as both
+built-in weight matrices are, it comes from one symmetric eigensolve plus a
+stated margin, ``n * eps * max|lambda|``, so it is an estimate that errs on
+the safe side (too large). That takes 4.5 ms instead of the SVD's 10.4 ms on
+a 300-node cycle, and 62 ms instead of 245 ms at n = 1000 (2-vCPU VM, numpy
+2.4.6). Any other ``A`` gets the exact value from a dense SVD. See
+:func:`second_largest_singular_value`.
 """
 
 from __future__ import annotations
@@ -169,7 +175,10 @@ class WeightMatrix:
     entries : ndarray
         The ``n x n`` matrix; read-only.
     sigma2 : float
-        Second-largest singular value, in ``[0, 1)`` for connected graphs.
+        Second-largest singular value, in ``[0, 1)`` for connected graphs,
+        from :func:`second_largest_singular_value`: exact for a non-symmetric
+        matrix, and a safe-side estimate, at most ``n * eps * max|lambda|``
+        above the exact value plus the solver's error, for a symmetric one.
     indptr, indices, data : ndarray
         ``entries`` in row-major CSR form (:func:`csr_arrays`); read-only.
     """
@@ -293,9 +302,26 @@ def _first_off_one(offsets, values):
 
 
 def second_largest_singular_value(a):
-    """Second-largest singular value of a square matrix, by a full dense SVD."""
+    """Second-largest singular value of a square matrix, or a safe-side
+    estimate of it.
+
+    A bitwise-symmetric matrix (``a == a.T``, as both built-in weight
+    matrices are) has the absolute values of its eigenvalues as singular
+    values. Its value is the second-largest ``|lambda|`` from one
+    ``np.linalg.eigvalsh`` plus the margin ``n * eps * max|lambda|``. That is
+    LAPACK's error bound for symmetric eigenvalues, ``p(n) * eps * ||A||_2``
+    (LAPACK Users' Guide, section 4.7.1), with ``p(n) = n``, so the value errs
+    on the safe side (too large). On Metropolis cycles and paths of 54 to
+    1000 nodes the margin was 100 to 10,000 times the solver's error, against
+    their closed-form spectra at 40 digits. Any other matrix gets the exact
+    value, by a full dense SVD.
+    """
     a = np.asarray(a, dtype=float)
-    if a.shape[0] < 2:
+    n = a.shape[0]
+    if n < 2:
         raise ValueError("sigma2 needs a matrix of order >= 2")
+    if np.array_equal(a, a.T):
+        mags = np.sort(np.abs(np.linalg.eigvalsh(a)))
+        return float(mags[-2] + n * np.finfo(float).eps * mags[-1])
     s = np.linalg.svd(a, compute_uv=False)
     return float(s[1])

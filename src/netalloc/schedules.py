@@ -29,7 +29,7 @@ class StepSchedule:
         """First ``count`` values as an array, validated finite, positive, nonincreasing."""
         if count < 0:
             raise ValueError(f"count must be nonnegative, got {count}")
-        vals = np.array([self.alpha(k) for k in range(count)], dtype=float)
+        vals = self._values(count)
         # min and max are NaN when any value is, so NaN fails both comparisons
         if count and not (vals.min() > 0.0 and vals.max() < math.inf):
             k = int(np.argmax(~((vals > 0.0) & (vals < math.inf))))
@@ -42,8 +42,25 @@ class StepSchedule:
             )
         return vals
 
+    def _values(self, count):
+        """``alpha(0) .. alpha(count - 1)`` as a float array, one call per ``k``.
+
+        :class:`RecipSqrt` and :class:`Recip` compute theirs in closed form.
+        :class:`PowerLaw` keeps this loop, since numpy's ``k**p`` may differ
+        from the C library's in the last bit.
+        """
+        return np.array([self.alpha(k) for k in range(count)], dtype=float)
+
     def __repr__(self):
         return f"{type(self).__name__}()"
+
+
+def _steps(count):
+    """``1.0, 1.0, 2.0, .., count - 1.0``: the round numbers with round 0 as 1,
+    so that ``alpha(0) = 1`` needs no case of its own."""
+    k = np.arange(count, dtype=float)
+    k[:1] = 1.0
+    return k
 
 
 class RecipSqrt(StepSchedule):
@@ -57,6 +74,10 @@ class RecipSqrt(StepSchedule):
     def alpha(self, k):
         return 1.0 if k == 0 else 1.0 / math.sqrt(k)
 
+    def _values(self, count):
+        # IEEE sqrt and division round correctly, so these are alpha(k)'s bits
+        return 1.0 / np.sqrt(_steps(count))
+
 
 class Recip(StepSchedule):
     """``alpha(0) = 1``, ``alpha(k) = 1/k``."""
@@ -65,6 +86,10 @@ class Recip(StepSchedule):
 
     def alpha(self, k):
         return 1.0 if k == 0 else 1.0 / k
+
+    def _values(self, count):
+        return 1.0 / _steps(count)
+
 
 class PowerLaw(StepSchedule):
     """``alpha(0) = c``, ``alpha(k) = c / k**p`` with ``c > 0``, ``p in (0.5, 1]``.

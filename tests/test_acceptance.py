@@ -249,7 +249,7 @@ def test_criterion_7_spectral_correctness(suite_rng):
     report(
         7,
         ok,
-        f"worst dense SVD vs eigvalsh gap {worst_sigma:.3g} (limit 1e-8); "
+        f"worst sigma2 vs eigvalsh gap {worst_sigma:.3g} (limit 1e-8); "
         f"worst stochasticity error {worst_sum:.3g} (limit 1e-12)",
     )
 

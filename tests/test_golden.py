@@ -16,7 +16,7 @@ GOLDEN = {
         "trace.csv": "7c2f10e98494037cc38f04d9cd9f70e8ef98cfe11af2ef89ff472c3604639a4d",
         "summary.csv": "f46ce38d4f8d189f5be937155fb1d57b4e5b9636d9afc24fd763d2a611caee7a",
         "oracle.csv": "ed3e044dab8678dc1ef4c6b4b829bf5f95fc15f4e7db96de53bb635a4ba519e1",
-        "bounds.csv": "ae950995cb4ad24d3c701efe9f623de3eea2e50fe97c935696cf8ae2e7f793b9",
+        "bounds.csv": "4e683e14694aab04838397bccc7b9a023db74085ed842b4126574aae5f99ce5f",
         "alloc.svg": "4c664b367f5d60bf79c07a622336f86d0d4de8465c094ef412024dd9ed1470ef",
         "multipliers.svg": "28d21e3c76d1960f1e0bf8cbf51c0cbc0c23da5b9b4790bc2ff97cbbc4cf89e8",
         "residual.svg": "323e4e33f80a0ffff5641c298da021c4646ce3aba2aea2ac015217117512d469",
@@ -25,7 +25,7 @@ GOLDEN = {
         "trace.csv": "248f901ef974fe90e89729e2c8dbfa0b9d200d0b053651396767aea35e6a813e",
         "summary.csv": "30271d627d68277009a377a787dfab64cc5504044443da604fe06198b7454d99",
         "oracle.csv": "ed7455e245c6f633fccf7af4fc8bdcfc8c7f9384fc4ed2523c0c4822ea84841b",
-        "bounds.csv": "ee52898b3277b00e259ae3a6dccc247f8c066346e376a0071f63ef2f73d930a3",
+        "bounds.csv": "a7fde70e1348a8915f05c16b6c7ba3450d119ca4ba4228f6347035da8136d4fc",
         "alloc.svg": "245838ea5f8edf53d0f0f1d226f1ae049d86161aa89c9fe34b9124fe8a92ab53",
         "multipliers.svg": "a5b463d4c2382b6c203d0edd86826356ecf3eb08cd160d0a8d0bfbd6c3e67e6f",
         "residual.svg": "a47aeb98655c4896a56f90fc2c42123e8c2f96034dd81831e6f301caaa8e16e8",

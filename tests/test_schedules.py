@@ -67,6 +67,16 @@ class TestValidation:
             Recip().alphas(4), [1.0, 1.0, 0.5, 1.0 / 3.0], atol=1e-15
         )
 
+    @pytest.mark.parametrize("sched", [RecipSqrt(), Recip()], ids=["recip-sqrt", "recip"])
+    def test_closed_form_alphas_have_the_bits_of_alpha(self, sched):
+        # IEEE sqrt and division round correctly, so numpy's arrays and the
+        # per-k floats agree bit for bit
+        count = 10**6
+        expected = np.array([sched.alpha(k) for k in range(count)], dtype=float)
+        assert sched.alphas(count).tobytes() == expected.tobytes()
+        assert sched.alphas(0).shape == (0,)
+        assert sched.alphas(1).tolist() == [1.0]
+
 
 class TestParsing:
     def test_round_trip_names(self):
