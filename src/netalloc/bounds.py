@@ -32,7 +32,7 @@ from .errors import HypothesisViolation
 from .graphs import WeightMatrix
 from .objectives import NodeCosts, subgradient_bound
 from .schedules import RecipSqrt
-from .simulator import _row_blocks
+from .simulator import _deviations, _row_blocks, _running_sums, _spreads, _weighted_multipliers
 
 GAP_NONNEGATIVITY_TOL = 1e-9
 
@@ -231,6 +231,13 @@ def check_bounds(trace, problems, A, lamstar, checkpoints=None, consensus_upto=N
     :class:`HypothesisViolation` for a schedule with ``alpha(0) != 1``,
     TypeError for any other ``A``, and ValueError for a non-finite ``lamstar``
     or checks that :func:`resolve_checks` refuses.
+
+    Memory beyond the trace is one block of about 4096 cells, besides the
+    report: the spreads are computed for the ``consensus_upto + 1`` reported
+    rows only, and one pass over row blocks carries the weighted consensus
+    error and ``sum alpha(k) lam(k)`` of the time-weighted averages, taking
+    both at each checkpoint, with the bits of the whole-array ``cumsum`` and
+    ``sum``.
     """
     T = trace.iterations
     checkpoints, upto = resolve_checks(T, checkpoints, consensus_upto)
@@ -255,23 +262,26 @@ def check_bounds(trace, problems, A, lamstar, checkpoints=None, consensus_upto=N
         schedule_name=getattr(sched, "name", str(sched)),
     )
 
-    observed = trace.spreads()[: upto + 1].tolist()
+    observed = _spreads(trace.lam[: upto + 1]).tolist()
     bounds = _consensus_bounds(upto, sched.alphas(upto), sigma2, lam0_l1, C, n)
     report.consensus_rows = [_row(k, *pair) for k, pair in enumerate(zip(observed, bounds))]
 
     if isinstance(sched, RecipSqrt):
         alphas = sched.alphas(T + 1)
-        mean = trace.mean_multipliers()
-        weighted_err = alphas[:, None] * np.abs(trace.lam - mean[:, None])
-        cum_err = np.cumsum(weighted_err, axis=0)
+
+        def terms(r0, r1):
+            # the weighted consensus error and alpha(k) * lam(k), side by side
+            err = alphas[r0:r1, None] * _deviations(trace.lam[r0:r1])
+            return np.hstack([err, _weighted_multipliers(alphas, trace.lam, r0, r1)])
+
         dual_sums = _dual_sums(problems)
         (q_star,) = dual_sums(lamstar)
-        for K in checkpoints:
+        for K, sums in zip(checkpoints, _running_sums(terms, checkpoints, 2 * n)):
             bound = weighted_consensus_bound(K, sigma2, lam0_l1, C, n)
-            report.weighted_rows.append(_row(K, float(cum_err[K].max()), bound))
+            report.weighted_rows.append(_row(K, float(sums[:n].max()), bound))
 
-            # the dual at each node's average, in blocks of about CSV_BLOCK_CELLS cells
-            avgs = trace.time_weighted_averages(K)[:, None]
+            # the dual at each node's time-weighted average, in blocks of about CSV_BLOCK_CELLS cells
+            avgs = (sums[n:] / alphas[: K + 1].sum())[:, None]
             gaps = [q - q_star for r0, r1 in _row_blocks(n, n) for q in dual_sums(avgs[r0:r1])]
             report.min_gap = min(report.min_gap, min(gaps))
             report.gap_rows.append(_row(K, max(gaps), rate_bound(K, n, sigma2, C, lam0, lamstar)))

@@ -143,18 +143,23 @@ def _write_oracle_csv(path, sol):
 
 def _node_band(values):
     """The min, mean and max across nodes of a ``(rounds, n)`` array, one column each."""
-    return np.column_stack([values.min(axis=1), values.mean(axis=1), values.max(axis=1)])
+    band = np.empty((values.shape[0], 3))
+    values.min(axis=1, out=band[:, 0])
+    values.mean(axis=1, out=band[:, 1])
+    values.max(axis=1, out=band[:, 2])
+    return band
 
 
 def _write_plots(outdir, trace):
-    ks = np.arange(trace.x.shape[0])
+    ks = np.arange(trace.x.shape[0], dtype=float)
     band = ["min over nodes", "mean over nodes", "max over nodes"]
+    # each chart's columns are computed when it is drawn, so one chart's exist at a time
     for name, title, ylabel, ys, labels in (
-        ("alloc.svg", "Allocation across nodes", "x_i(k)", _node_band(trace.x), band),
-        ("multipliers.svg", "Multiplier across nodes", "lambda_i(k)", _node_band(trace.lam), band),
-        ("residual.svg", "Balance residual", "sum x - demand", trace.residuals()[:, None], ["residual"]),
+        ("alloc.svg", "Allocation across nodes", "x_i(k)", lambda: _node_band(trace.x), band),
+        ("multipliers.svg", "Multiplier across nodes", "lambda_i(k)", lambda: _node_band(trace.lam), band),
+        ("residual.svg", "Balance residual", "sum x - demand", lambda: trace.residuals()[:, None], ["residual"]),
     ):
-        write_line_chart(outdir / name, title, "iteration k", ylabel, ks, ys, labels)
+        write_line_chart(outdir / name, title, "iteration k", ylabel, ks, ys(), labels)
 
 
 def _set_up(args):
@@ -196,7 +201,7 @@ def _cmd_run(args):
     _write_oracle_csv(outdir / "oracle.csv", sol)
 
     final_cost = trace.total_cost()
-    final_residual = float(trace.residuals()[-1])
+    final_residual = float((trace.x[-1] - trace.b).sum())  # the last of trace.residuals()
     print(f"case={case.name} n={case.n} demand={case.demand:g} sigma2={weights.sigma2:.6g}")
     print(
         f"final: residual={final_residual:.6g} cost={final_cost:.10g} "

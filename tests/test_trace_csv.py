@@ -267,3 +267,39 @@ def test_k_beyond_int64_matches_reference(tmp_path):
     write(path, VALID + [f"{2**63},0,1,2,3"])
     new, reference = both(path, 2)
     assert new == reference == ("ValueError", "trace has no row for k=2, node=0")
+
+
+def test_shuffled_file_gives_the_written_arrays(tmp_path):
+    # to_csv's order is read without a sort; any other order is sorted into it
+    rng = np.random.default_rng(20161118)
+    values = rng.standard_normal((3, 7, 5)) * 10.0 ** rng.integers(-300, 300, (3, 7, 5))
+    values.flat[rng.integers(0, values.size, len(EXTREMES))] = EXTREMES
+    lines = body_lines(values)
+    canonical, shuffled = tmp_path / "canonical.csv", tmp_path / "shuffled.csv"
+    write(canonical, lines)
+    write(shuffled, [lines[i] for i in rng.permutation(len(lines))])
+    expected = tuple((a.shape, a.tobytes()) for a in values)
+    for path in (canonical, shuffled):
+        new, reference = both(path, 5)
+        assert new == reference == expected
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # in to_csv's order but cut short: the first missing cell is the last round's
+        (VALID[:3], "trace has no row for k=1, node=1"),
+        (VALID[:1], "trace has no row for k=0, node=1"),
+        (VALID[:1] + VALID[2:], "trace has no row for k=0, node=1"),
+        (VALID[1:], "trace has no row for k=0, node=0"),
+        (VALID + VALID[3:], "line 6: repeated row for k=1, node=1"),
+        (VALID[2:] + VALID[:2] + VALID[:1], "line 6: repeated row for k=0, node=0"),
+        (VALID + ["2,1,1,2,3"], "trace has no row for k=2, node=0"),
+    ],
+    ids=["cut-short", "one-row", "missing-middle", "missing-first", "repeat", "swapped-repeat", "gap-before-last"],
+)
+def test_out_of_order_rejections_are_unchanged(tmp_path, lines, message):
+    path = tmp_path / "trace.csv"
+    write(path, lines)
+    new, reference = both(path, 2)
+    assert new == reference == ("ValueError", message)
