@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisViolation
-from .graphs import WeightMatrix
+from .graphs import _require_weight_matrix
 from .objectives import NodeCosts, subgradient_bound
 from .schedules import RecipSqrt
 from .simulator import _deviations, _row_blocks, _running_sums, _spreads, _weighted_multipliers
@@ -229,8 +229,9 @@ def check_bounds(trace, problems, A, lamstar, checkpoints=None, consensus_upto=N
     dual-gap bounds at ``checkpoints``, both as :func:`resolve_checks` decides.
     The last two apply only under the ``1/sqrt(k)`` schedule. Raises
     :class:`HypothesisViolation` for a schedule with ``alpha(0) != 1``,
-    TypeError for any other ``A``, and ValueError for a non-finite ``lamstar``
-    or checks that :func:`resolve_checks` refuses.
+    TypeError for any other ``A``, and ValueError for a non-finite ``lamstar``,
+    problems or an ``A`` whose size is not the trace's, or checks that
+    :func:`resolve_checks` refuses.
 
     Memory beyond the trace is one block of about 4096 cells, besides the
     report: the spreads are computed for the ``consensus_upto + 1`` reported
@@ -241,15 +242,18 @@ def check_bounds(trace, problems, A, lamstar, checkpoints=None, consensus_upto=N
     """
     T = trace.iterations
     checkpoints, upto = resolve_checks(T, checkpoints, consensus_upto)
-    if not isinstance(A, WeightMatrix):
-        raise TypeError(f"A must be a WeightMatrix, got {type(A).__name__}")
+    _require_weight_matrix(A)
     if not math.isfinite(lamstar):
         raise ValueError(f"lamstar must be finite, got {float(lamstar)!r}")
     problems = tuple(problems)
+    n = trace.n
+    if A.n != n:
+        raise ValueError(f"weight matrix has n={A.n}, trace has n={n}")
+    if len(problems) != n:
+        raise ValueError(f"{len(problems)} problems for a trace with n={n}")
     sched = trace.schedule
     _require_normalized(sched)
     sigma2 = A.sigma2
-    n = trace.n
     C = global_subgradient_bound(problems)
     lam0 = trace.lam[0]
     lam0_l1 = float(np.abs(lam0).sum())

@@ -8,14 +8,14 @@ graph. :class:`GraphTopology` holds that graph as one sorted array of edges
 load-bus components of the bus-derived graph. :func:`metropolis_weights`
 fills and checks its matrix from that array.
 
-A validated :class:`WeightMatrix` keeps, next to its dense entries, their
-row-major CSR arrays (:func:`csr_arrays`): the simulator's consensus round
-reads only those, so a round costs O(nnz), not O(n**2) (about 35 us instead
-of 140-210 us for a whole round over a 300-node cycle; see
-:mod:`netalloc.simulator`). Validation takes each row and column sum as one
-``math.fsum`` over that row's or column's stored entries, and
-:func:`metropolis_weights` each diagonal as one minus one ``fsum`` over the
-node's incident edge weights, O(nnz) in all.
+A validated :class:`WeightMatrix` holds the matrix in one form, its row-major
+CSR arrays, which the simulator's consensus round reads, so a round costs
+O(nnz), not O(n**2); its ``entries`` property rebuilds the dense matrix from
+them on each read. The dense matrix given to :func:`validate_weight_matrix`
+lives only while it is checked and its ``sigma2`` is found. Validation takes
+each row and column sum as one ``math.fsum`` over that row's or column's
+stored entries, and :func:`metropolis_weights` each diagonal as one minus one
+``fsum`` over the node's incident edge weights, O(nnz) in all.
 
 The key spectral quantity is ``sigma2``, the second-largest singular value of
 ``A``: disagreement between nodes decays like ``sigma2**k``, and the bounds
@@ -166,33 +166,50 @@ def parse_edge_list(text, n):
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Validated doubly stochastic consensus matrix with its spectral gap.
+    """Validated doubly stochastic consensus matrix, in CSR form, with its spectral gap.
 
     Attributes
     ----------
     n : int
         Dimension.
-    entries : ndarray
-        The ``n x n`` matrix; read-only.
     sigma2 : float
         Second-largest singular value, in ``[0, 1)`` for connected graphs,
         from :func:`second_largest_singular_value`: exact for a non-symmetric
         matrix, and a safe-side estimate, at most ``n * eps * max|lambda|``
         above the exact value plus the solver's error, for a symmetric one.
     indptr, indices, data : ndarray
-        ``entries`` in row-major CSR form (:func:`csr_arrays`); read-only.
+        The nonzero entries and the whole diagonal, row by row; read-only.
+        Row ``i`` is ``data[indptr[i]:indptr[i+1]]`` in the columns
+        ``indices[indptr[i]:indptr[i+1]]``, in increasing order, so no row is
+        empty.
     """
 
     n: int
-    entries: np.ndarray
     sigma2: float
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
 
     def __post_init__(self):
-        for array in (self.entries, self.indptr, self.indices, self.data):
+        for array in (self.indptr, self.indices, self.data):
             array.setflags(write=False)
+
+    @property
+    def entries(self):
+        """The dense ``n x n`` matrix, rebuilt from the CSR arrays on each read; read-only.
+
+        An entry that is not stored reads 0.0, even where the validated matrix held -0.0.
+        """
+        a = np.zeros((self.n, self.n))
+        a[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices] = self.data
+        a.setflags(write=False)
+        return a
+
+
+def _require_weight_matrix(A):
+    """Raise TypeError unless ``A`` is a :class:`WeightMatrix`."""
+    if not isinstance(A, WeightMatrix):
+        raise TypeError(f"A must be a WeightMatrix, got {type(A).__name__}")
 
 
 def _offsets(labels, n):
@@ -200,22 +217,6 @@ def _offsets(labels, n):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(labels, minlength=n), out=offsets[1:])
     return offsets
-
-
-def csr_arrays(a):
-    """Row-major CSR arrays ``(indptr, indices, data)`` of the square matrix ``a``.
-
-    They hold the nonzero entries and the whole diagonal, zero or not, so no
-    row is empty: row ``i`` is ``data[indptr[i]:indptr[i+1]]`` in the columns
-    ``indices[indptr[i]:indptr[i+1]]``, in increasing order.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"weight matrix shape {a.shape} is not square")
-    stored = a != 0.0
-    np.fill_diagonal(stored, True)
-    rows, cols = np.nonzero(stored)
-    return _offsets(rows, a.shape[0]), cols, a[rows, cols]
 
 
 def metropolis_weights(g):
@@ -250,17 +251,21 @@ def validate_weight_matrix(entries, g):
     row-major order, raises. Accepts any user-supplied matrix, not only
     Metropolis ones.
 
-    Each sum is one ``math.fsum`` over the stored entries of a row or column
-    of :func:`csr_arrays`: the zeros it skips change neither the sum nor the
-    verdict. The total a violation reports is the fsum of the dense row or
-    column, which keeps the sign of an all-zero one. The column sums of a
-    symmetric matrix (``a == a.T``, as Metropolis weights are) are its row
-    sums, since ``fsum`` is exact, so they are not taken again.
+    Each sum is one ``math.fsum`` over the stored entries of a row or column,
+    which the result keeps as its CSR arrays: the zeros they skip change
+    neither the sum nor the verdict. The total a violation reports is the
+    fsum of the dense row or column, which keeps the sign of an all-zero one.
+    The column sums of a symmetric matrix (``a == a.T``, as Metropolis
+    weights are) are its row sums, since ``fsum`` is exact, so they are not
+    taken again.
     """
     a = np.asarray(entries, dtype=float)
     if a.shape != (g.n, g.n):
         raise ValueError(f"matrix shape {a.shape} does not match graph with n={g.n}")
-    indptr, indices, data = csr_arrays(a)
+    stored = a != 0.0
+    np.fill_diagonal(stored, True)
+    rows, indices = np.nonzero(stored)
+    indptr, data = _offsets(rows, g.n), a[rows, indices]
     i = _first_off_one(indptr, data)
     if i is not None:
         raise RowSumViolation(i, math.fsum(a[i, :].tolist()))
@@ -283,7 +288,7 @@ def validate_weight_matrix(entries, g):
     if bad.any():
         i, j = divmod(int(np.argmax(bad)), g.n)  # first violation in row-major order
         raise SparsityMismatch(i, j, a[i, j], bool(adj[i, j]))
-    return WeightMatrix(g.n, a.copy(), second_largest_singular_value(a), indptr, indices, data)
+    return WeightMatrix(g.n, second_largest_singular_value(a), indptr, indices, data)
 
 
 def _first_off_one(offsets, values):

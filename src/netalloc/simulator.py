@@ -11,18 +11,17 @@ dual piece ``q_i``, which drives the multiplier copies toward the common dual
 optimum while consensus keeps them together. Runs are bitwise deterministic:
 every reduction has a fixed order.
 
-Step 1 is one CSR round, the same in :func:`run_dlm` and
-:func:`consensus_step`: the products ``a_ij * lam_j`` over the stored entries
-of the weight matrix (:attr:`~netalloc.graphs.WeightMatrix.data`, with
-``indices`` and ``indptr``), then one ``np.add.reduceat`` segment per row, so
-a round costs O(nnz), not O(n**2). :func:`run_dlm` writes ``v``, ``x`` and
-``lam`` straight into its history rows and keeps the products in one buffer,
-so a round allocates nothing. On a 2-vCPU VM with numpy 2.4.6 a whole round
-(consensus, primal and dual step) took about 35 us on ``synth:7:300`` over a
-cycle (900 nonzeros; 140-210 us with the dense product it replaced), 60 us
-on a 1000-node cycle (2.2 ms dense) and 20 us on ``synth:7``'s bus-derived
-graph (54 nodes, 1,292 nonzeros; unchanged). On the 1000-node bus-derived
-graph, 49 % dense, it took 2.4 ms, as the dense product did.
+Both :func:`run_dlm` and :func:`consensus_step` take the weight matrix only
+as a validated :class:`~netalloc.graphs.WeightMatrix`, and step 1 is one CSR
+round in both: the products ``a_ij * lam_j`` over the matrix's stored entries
+(its ``data``, with ``indices`` and ``indptr``), then one ``np.add.reduceat``
+segment per row, so a round costs O(nnz), not O(n**2). :func:`run_dlm` writes
+``v``, ``x`` and ``lam`` straight into its history rows and keeps the products
+in one buffer, so a round allocates nothing. On a 2-vCPU VM with numpy 2.4.6 a
+whole round (consensus, primal and dual step) took about 35 us on
+``synth:7:300`` over a cycle (900 nonzeros), 60 us on a 1000-node cycle and
+20 us on ``synth:7``'s bus-derived graph (54 nodes, 1,292 nonzeros). On the
+1000-node bus-derived graph, 49 % dense, it took 2.4 ms.
 
 The primal step of a round and the cost terms of :meth:`RunTrace.lagrangians`
 and :meth:`RunTrace.total_cost` go through
@@ -69,7 +68,7 @@ import numpy as np
 
 from . import _csvtext
 from ._csvtext import row_blocks as _row_blocks
-from .graphs import WeightMatrix, csr_arrays
+from .graphs import _require_weight_matrix
 from .objectives import NodeCosts
 
 # A table of at least this many cells (rows x cells per row) is formatted in
@@ -218,27 +217,18 @@ class _Part:
             fh.close()
 
 
-def _entries(A):
-    return A.entries if isinstance(A, WeightMatrix) else np.asarray(A, dtype=float)
-
-
-def _csr(A, a):
-    """``A``'s CSR arrays: a WeightMatrix's own, else built from its entries ``a``."""
-    return (A.indptr, A.indices, A.data) if isinstance(A, WeightMatrix) else csr_arrays(a)
-
-
 def consensus_step(A, lams):
     """One averaging round ``A @ lams``, the round :func:`run_dlm` performs.
 
-    Entry ``i`` of the result sums ``a_ij * lams[j]`` over the stored entries
-    of row ``i`` only: node ``i`` and its neighbors.
+    ``A`` is a :class:`~netalloc.graphs.WeightMatrix`; anything else raises
+    TypeError. Entry ``i`` of the result sums ``a_ij * lams[j]`` over the
+    stored entries of row ``i`` only: node ``i`` and its neighbors.
     """
-    a = _entries(A)
+    _require_weight_matrix(A)
     lams = np.asarray(lams, dtype=float)
-    if lams.shape != (a.shape[0],):
-        raise ValueError(f"multiplier vector shape {lams.shape} does not match matrix {a.shape}")
-    indptr, indices, data = _csr(A, a)
-    return _average(indptr, indices, data, lams, np.empty(lams.shape), np.empty(data.shape))
+    if lams.shape != (A.n,):
+        raise ValueError(f"multiplier vector shape {lams.shape} does not match matrix {(A.n, A.n)}")
+    return _average(A.indptr, A.indices, A.data, lams, np.empty(lams.shape), np.empty(A.data.shape))
 
 
 def _average(indptr, indices, data, lam, out, buf):
@@ -283,7 +273,7 @@ class RunTrace:
     so blocking leaves its bits alone, and a sum over rows carries from block
     to block in row order, with the bits of numpy's whole-array ``sum`` and
     ``cumsum``. A 2000-round ``synth:7:1000`` run over a cycle, whose trace
-    takes 48 MB, peaks at about 102 MB RSS instead of 145 MB.
+    takes 48 MB, peaks at about 93 MB RSS, 31 MB of it the imports.
     """
 
     problems: tuple
@@ -528,33 +518,30 @@ def _trace_arrays(ks, nodes, cols, linenos, n):
         if ks[r] < 0:
             reject(r, f"negative iteration k={ks[r]}")
         reject(r, f"node index {nodes[r]} outside [0,{n})")
-    T = int(ks.max())
-    cells = ks * n + nodes
-    # the order to_csv writes has no repeat and no gap before its last cell
-    in_order = np.array_equal(cells, np.arange(cells.size))
-    missing = cells.size
-    if not in_order:
-        order = np.argsort(cells, kind="stable")
-        ordered = cells[order]
-        repeats = order[1:][ordered[1:] == ordered[:-1]]
-        if repeats.size:
-            r = int(repeats.min())  # first repeat in file order
-            reject(r, f"repeated row for k={ks[r]}, node={nodes[r]}")
-        # the cells are now distinct, so the first gap in their sorted order is
-        # the first missing one
-        gaps = np.flatnonzero(ordered != np.arange(cells.size))
-        if gaps.size:
-            missing = int(gaps[0])
-    if missing < cells.size or cells.size != (T + 1) * n:
+    rows, size = int(ks.max()) + 1, len(ks)
+    # the order to_csv writes: rounds 0 .. T, each with nodes 0 .. n-1
+    in_order = size == rows * n and (
+        (ks.reshape(rows, n) == np.arange(rows)[:, None]).all()
+        and (nodes.reshape(rows, n) == np.arange(n)).all()
+    )
+    if in_order:
+        return tuple(np.array(col).reshape(rows, n) for col in cols)
+    # any other order is sorted by (k, node), without a key that could overflow
+    order = np.lexsort((nodes, ks))
+    ks_sorted, nodes_sorted = ks[order], nodes[order]
+    repeats = order[1:][(ks_sorted[1:] == ks_sorted[:-1]) & (nodes_sorted[1:] == nodes_sorted[:-1])]
+    if repeats.size:
+        r = int(repeats.min())  # first repeat in file order
+        reject(r, f"repeated row for k={ks[r]}, node={nodes[r]}")
+    # the cells are now distinct, so the first one in sorted order that is not
+    # the cell of its position is the first missing one
+    want_k, want_node = np.divmod(np.arange(size), n)
+    gaps = np.flatnonzero((ks_sorted != want_k) | (nodes_sorted != want_node))
+    missing = int(gaps[0]) if gaps.size else size
+    if missing < size or size != rows * n:
         k, i = divmod(missing, n)
         raise ValueError(f"trace has no row for k={k}, node={i}")
-    if in_order:
-        del cells  # free its 8 bytes a cell before the columns are copied
-        return tuple(np.array(col).reshape(T + 1, n) for col in cols)
-    data = np.empty((3, cells.size))
-    for row, col in zip(data, cols):
-        row[cells] = col
-    return tuple(row.reshape(T + 1, n) for row in data)
+    return tuple(col[order].reshape(rows, n) for col in cols)
 
 
 def _require_finite(x_hist, lam_hist, v_hist):
@@ -571,11 +558,13 @@ def _require_finite(x_hist, lam_hist, v_hist):
 def run_dlm(problems, A, sched, iters, init_lams=None):
     """Run ``iters`` synchronous rounds and return the complete trace.
 
-    Defaults: multipliers start at zero and the recorded initial allocation is
-    the midpoint of each interval. Identical inputs produce bitwise-identical
-    traces. A non-finite iterate, including a non-finite initial multiplier
-    (round 0), raises ValueError naming the first round and node where one
-    appears; the check is one pass over the recorded arrays after the rounds.
+    ``A`` is a :class:`~netalloc.graphs.WeightMatrix` of one row per problem;
+    anything else raises TypeError. Defaults: multipliers start at zero and
+    the recorded initial allocation is the midpoint of each interval.
+    Identical inputs produce bitwise-identical traces. A non-finite iterate,
+    including a non-finite initial multiplier (round 0), raises ValueError
+    naming the first round and node where one appears; the check is one pass
+    over the recorded arrays after the rounds.
     """
     problems = tuple(problems)
     n = len(problems)
@@ -584,10 +573,10 @@ def run_dlm(problems, A, sched, iters, init_lams=None):
     iters = int(iters)
     if iters < 1:
         raise ValueError(f"iters must be at least 1, got {iters}")
-    a = _entries(A)
-    if a.shape != (n, n):
-        raise ValueError(f"weight matrix shape {a.shape} does not match {n} problems")
-    indptr, indices, data = _csr(A, a)
+    _require_weight_matrix(A)
+    if A.n != n:
+        raise ValueError(f"weight matrix shape {(A.n, A.n)} does not match {n} problems")
+    indptr, indices, data = A.indptr, A.indices, A.data
     b = np.array([p.share for p in problems], dtype=float)
     if init_lams is None:
         lam = np.zeros(n)

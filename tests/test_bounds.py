@@ -16,6 +16,7 @@ from netalloc import (
     Quadratic,
     Recip,
     RecipSqrt,
+    builtin_ieee14,
     check_bounds,
     consensus_error_bound,
     default_checkpoints,
@@ -27,6 +28,8 @@ from netalloc import (
     rate_bound,
     run_dlm,
     solve_centralized,
+    synth_ieee118_style,
+    to_problems,
     weighted_consensus_bound,
 )
 from netalloc.bounds import _dual_sums, resolve_checks
@@ -85,8 +88,16 @@ class TestConsensusErrorBound:
         val = consensus_error_bound(2, RecipSqrt(), 0.0, 5.0, 2.0, 1)
         assert val == pytest.approx(2.0 * RecipSqrt().alpha(1), abs=1e-12)
 
+    def test_rejects_negative_k(self):
+        with pytest.raises(ValueError, match=r"^iteration index must be nonnegative, got -1$"):
+            consensus_error_bound(-1, RecipSqrt(), 0.5, 0.0, 1.0, 3)
+
 
 class TestWeightedConsensusBound:
+    def test_rejects_checkpoint_zero(self):
+        with pytest.raises(ValueError, match=r"^checkpoint must be at least 1, got 0$"):
+            weighted_consensus_bound(0, 0.5, 0.0, 1.0, 4)
+
     def test_log_one_vanishes(self):
         assert weighted_consensus_bound(1, 0.5, 0.0, 1.0, 1) == pytest.approx(4.0, abs=1e-12)
 
@@ -102,6 +113,10 @@ class TestWeightedConsensusBound:
 
 
 class TestRateBound:
+    def test_rejects_checkpoint_zero(self):
+        with pytest.raises(ValueError, match=r"^checkpoint must be at least 1, got 0$"):
+            rate_bound(0, 2, 0.5, 1.0, [0.0, 0.0], 0.0)
+
     def test_hand_value(self):
         # n=3, sigma2=2/3, C=1, lam0=0, lam*=1, K=1:
         # 3/4 + (0 + 15*2) / (4*(1/3)*1) = 23.25
@@ -204,6 +219,21 @@ class TestCheckBounds:
         trace = run_dlm(problems, w, RecipSqrt(), 10)
         with pytest.raises(TypeError, match=r"^A must be a WeightMatrix, got float$"):
             check_bounds(trace, problems, w.sigma2, 0.0)
+
+    def test_rejects_weights_of_another_size(self):
+        # a 7-cycle's sigma2 says nothing about a 5-node run
+        problems = to_problems(builtin_ieee14())
+        trace = run_dlm(problems, metropolis_weights(cycle_graph(5)), RecipSqrt(), 20)
+        with pytest.raises(ValueError, match=r"^weight matrix has n=7, trace has n=5$"):
+            check_bounds(trace, problems, metropolis_weights(cycle_graph(7)), 0.0)
+
+    def test_rejects_problems_of_another_size(self):
+        # the C of 54 problems says nothing about a 5-node run
+        problems = to_problems(builtin_ieee14())
+        w = metropolis_weights(cycle_graph(5))
+        trace = run_dlm(problems, w, RecipSqrt(), 20)
+        with pytest.raises(ValueError, match=r"^54 problems for a trace with n=5$"):
+            check_bounds(trace, to_problems(synth_ieee118_style(7)), w, 0.0)
 
     def test_consensus_upto_caps_rows(self, suite_rng):
         problems, w, trace, sol = self.make_run(suite_rng, n=3, iters=200)

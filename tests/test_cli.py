@@ -152,6 +152,27 @@ class TestRun:
         assert captured.err == "error: ValueError: split spec 'explicit:1,2,x': 'x' is not a number\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "case, graph, split, reason",
+        [
+            ("builtin:ieee30", "cycle", "equal", "unknown builtin case 'ieee30'"),
+            ("builtin:ieee14", "star", "equal", "unknown graph spec 'star'"),
+            ("builtin:ieee14", "cycle", "halves", "unknown split spec 'halves' (use 'equal' or 'explicit:v1,v2,...')"),
+        ],
+        ids=["builtin-case", "graph-spec", "split-spec"],
+    )
+    def test_unknown_spec_is_one_error_line(self, tmp_path, capsys, case, graph, split, reason):
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--case", case, "--graph", graph, "--split", split, "--schedule", "recip",
+            "--iters", "10", "--out", str(out),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: {reason}\n"
+        assert not out.exists()
+
     def test_explicit_split(self, tmp_path):
         code = run_cli(
             "run",
@@ -447,3 +468,44 @@ class TestGraphSpecs:
         )
         assert code != 0
         assert "DisconnectedGraph" in capsys.readouterr().err
+
+    def test_path_graph(self, tmp_path, capsys):
+        code = run_cli(
+            "run", "--case", "builtin:ieee14", "--graph", "path", "--schedule", "recip",
+            "--iters", "10", "--out", str(tmp_path / "out"),
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == "case=ieee14 n=5 demand=300 sigma2=0.872678"
+
+    def test_bus_derived_file_form_matches_bus_lines_flag(self, tmp_path):
+        path = tmp_path / "case.csv"
+        path.write_text(
+            "# demand=4 name=toy\nid,bus,gamma,beta,mu,pmin,pmax\n"
+            "1,1,0.5,0,0,0,10\n2,2,0.5,0,0,0,10\n"
+        )
+        lines = tmp_path / "net.lines"
+        lines.write_text("1 2\n")
+        common = ("--case", str(path), "--schedule", "recip", "--iters", "10")
+        assert run_cli("run", *common, "--graph", f"bus-derived:{lines}", "--out", str(tmp_path / "a")) == 0
+        assert run_cli("run", *common, "--graph", "bus-derived", "--bus-lines", str(lines), "--out", str(tmp_path / "b")) == 0
+        assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags, what",
+        [
+            (["--graph", "file:{missing}"], "graph file"),
+            (["--graph", "bus-derived:{missing}"], "bus-lines file"),
+            (["--graph", "bus-derived", "--bus-lines", "{missing}"], "bus-lines file"),
+        ],
+        ids=["graph-file", "bus-derived-file", "bus-lines-flag"],
+    )
+    def test_unreadable_file_is_one_error_line(self, tmp_path, capsys, flags, what):
+        missing = tmp_path / "missing.txt"
+        out = tmp_path / "out"
+        flags = [flag.format(missing=missing) for flag in flags]
+        code = run_cli("run", "--case", "synth:7", *flags, "--schedule", "recip", "--iters", "10", "--out", str(out))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: cannot read {what} {missing}: No such file or directory\n"
+        assert not out.exists()

@@ -170,6 +170,20 @@ class TestValidateWeightMatrix:
         w = validate_weight_matrix(a, g)
         assert 0.0 < w.sigma2 < 1.0
 
+    def test_holds_no_dense_matrix(self):
+        w = metropolis_weights(cycle_graph(300))
+        arrays = [value for value in vars(w).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 3 and all(array.ndim == 1 for array in arrays)
+
+    def test_entries_are_a_read_only_view_of_the_metropolis_matrix(self):
+        rng = np.random.default_rng(SUITE_SEED + 19)  # private stream: the suite stream is unchanged
+        for g in (cycle_graph(7), path_graph(2), random_connected_graph(rng, 30)):
+            entries = metropolis_weights(g).entries
+            assert entries.tobytes() == reference_metropolis(g.n, g.edges.tolist()).tobytes()
+            assert not entries.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                entries[0, 0] = 1.0
+
     def test_keeps_csr_arrays_of_entries(self, suite_rng):
         w = metropolis_weights(random_connected_graph(suite_rng, 9))
         rows, cols = np.nonzero(w.entries)

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from netalloc import RecipSqrt, RunTrace, check_bounds, cycle_graph, metropolis_weights
+from netalloc import RecipSqrt, RunTrace, WeightMatrix, check_bounds, cycle_graph, metropolis_weights
 from netalloc.bounds import (
     BoundReport,
     _consensus_bounds,
@@ -163,9 +163,10 @@ def test_cumulative_weighted_errors_match_whole_array(n):
 @pytest.mark.parametrize("n", SIZES)
 def test_check_bounds_rows_match_whole_array(n):
     trace, rng = random_trace(n, 5)
-    # check_bounds reads only sigma2 of the weight matrix, so a small one
-    # stands in for a 5000-node matrix, which would take 200 MB dense
-    w = dataclasses.replace(metropolis_weights(cycle_graph(3)), sigma2=0.99)
+    # check_bounds reads only the size and sigma2 of the weight matrix, so the
+    # identity's CSR arrays stand in for a 5000-node Metropolis matrix, whose
+    # set-up would take 200 MB dense
+    w = WeightMatrix(n, 0.99, np.arange(n + 1), np.arange(n), np.ones(n))
     lamstar = float(rng.uniform(-1.0, 1.0))
     T, block = trace.iterations, block_rows(n)
     checks = [(None, None), ([1, block, T], block - 1), ([block + 1], 0), ([], 2)]

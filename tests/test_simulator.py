@@ -14,6 +14,8 @@ from netalloc import (
     Recip,
     RecipSqrt,
     RunTrace,
+    builtin_ieee14,
+    check_bounds,
     consensus_step,
     cycle_graph,
     lagrangian_value,
@@ -22,6 +24,7 @@ from netalloc import (
     primal_argmin,
     run_dlm,
     solve_centralized,
+    to_problems,
 )
 from conftest import random_connected_graph, random_quadratic_instance
 
@@ -31,7 +34,7 @@ def two_node_instance(gamma=0.5, lo=-10.0, hi=10.0, share=2.0):
     return [p, p]
 
 
-AVG = np.full((2, 2), 0.5)
+AVG = metropolis_weights(cycle_graph(2))  # every entry 0.5
 
 
 class TestConsensusStep:
@@ -53,26 +56,19 @@ class TestConsensusStep:
         with pytest.raises(ValueError, match="shape"):
             consensus_step(AVG, np.zeros(3))
 
-    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
-    def test_rounds_match_consensus_step_near_dense_product(self, layout):
-        # run_dlm and consensus_step share one CSR round, whatever the matrix's
-        # memory layout; its sums group terms differently from the dense
-        # product's, within n * eps * sum_j |a_ij lam_j|
+    def test_rounds_match_consensus_step_near_dense_product(self):
+        # run_dlm and consensus_step share one CSR round; its sums group terms
+        # differently from the dense product's, within n * eps * sum_j |a_ij lam_j|
         rng = np.random.default_rng(11)  # private stream: the suite stream is unchanged
-        a = layout(metropolis_weights(random_connected_graph(rng, 40)).entries)
+        w = metropolis_weights(random_connected_graph(rng, 40))
+        a = w.entries
         problems, _ = random_quadratic_instance(rng, 40)
-        trace = run_dlm(problems, a, RecipSqrt(), 30, init_lams=rng.uniform(-5, 5, 40))
+        trace = run_dlm(problems, w, RecipSqrt(), 30, init_lams=rng.uniform(-5, 5, 40))
         for k in range(30):
-            v = consensus_step(a, trace.lam[k])
+            v = consensus_step(w, trace.lam[k])
             assert trace.v[k + 1].tobytes() == v.tobytes()
             scale = 40 * np.finfo(float).eps * (np.abs(a) * np.abs(trace.lam[k])).sum(axis=1)
             assert (np.abs(v - (a * trace.lam[k]).sum(axis=1)) <= scale).all()
-
-    def test_all_zero_rows_average_to_zero(self):
-        # an empty row sums to 0, not to a neighbouring row's first product
-        a = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
-        out = consensus_step(a, np.array([1.0, 2.0, 3.0]))
-        assert out.tolist() == [0.0, 1.5, 0.0]
 
     @pytest.mark.parametrize("family", ["quadratic", "generic"])
     def test_in_place_round_matches_allocating_expression(self, family):
@@ -191,10 +187,14 @@ class TestRunDlm:
         with pytest.raises(ValueError, match=r"non-finite iterate at round k=0, node 1"):
             run_dlm(problems, w, RecipSqrt(), 5, init_lams=[0.0, bad, 0.0])
 
+    def test_rejects_init_lams_of_another_shape(self):
+        with pytest.raises(ValueError, match=r"^init_lams shape \(3,\) does not match 2 nodes$"):
+            run_dlm(two_node_instance(), AVG, RecipSqrt(), 5, init_lams=[0.0, 0.0, 0.0])
+
     def test_rejects_single_node(self):
         p = two_node_instance()[0]
         with pytest.raises(ValueError, match="at least 2"):
-            run_dlm([p], np.ones((1, 1)), RecipSqrt(), 5)
+            run_dlm([p], AVG, RecipSqrt(), 5)
 
     def test_local_feasibility_every_iteration(self, suite_rng):
         for _ in range(5):
@@ -254,6 +254,22 @@ class TestRunDlm:
         assert trace.spreads()[-1] <= 1e-2
         L = lagrangian_value(problems, trace.x[-1], trace.lam[-2])
         assert abs(L - sol.f_star) <= 1e-2 * (1 + abs(sol.f_star))
+
+
+def test_rounds_and_bounds_take_only_a_weight_matrix():
+    # a matrix of ones is not doubly stochastic: run unchecked, it drives the
+    # multipliers toward -1e15
+    problems = to_problems(builtin_ieee14())
+    trace = run_dlm(problems, metropolis_weights(cycle_graph(5)), RecipSqrt(), 20)
+    raw = np.ones((5, 5))
+    calls = [
+        lambda: run_dlm(problems, raw, RecipSqrt(), 20),
+        lambda: consensus_step(raw, np.zeros(5)),
+        lambda: check_bounds(trace, problems, raw, 0.0),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=r"^A must be a WeightMatrix, got ndarray$"):
+            call()
 
 
 class TestLagrangianValue:

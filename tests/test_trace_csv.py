@@ -303,3 +303,20 @@ def test_out_of_order_rejections_are_unchanged(tmp_path, lines, message):
     write(path, lines)
     new, reference = both(path, 2)
     assert new == reference == ("ValueError", message)
+
+
+def test_wrong_header_is_rejected(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(["k,node,x,lam,v", *VALID, ""]))
+    new, reference = both(path, 2)
+    assert new == reference == ("ValueError", "unexpected trace header 'k,node,x,lam,v'")
+
+
+@pytest.mark.parametrize("k", [2**62, 10**12])
+def test_large_k_names_the_first_missing_row(tmp_path, k):
+    # k * n overflows int64 for k = 2**62 and n = 2, so the reader must order
+    # the rows without that key
+    path = tmp_path / "trace.csv"
+    write(path, VALID + [f"{k},0,1,2,3"])
+    with pytest.raises(ValueError, match=r"^trace has no row for k=2, node=0$"):
+        RunTrace.from_csv(path, problems_of(2), RecipSqrt())
