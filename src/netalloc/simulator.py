@@ -238,7 +238,7 @@ def _average(indptr, indices, data, lam, out, buf):
     segment of them, in a fixed order. Every row has a stored entry (its
     diagonal), so no segment is empty.
     """
-    np.take(lam, indices, out=buf, mode="clip")  # indices are in range; "clip" skips a buffer
+    lam.take(indices, out=buf, mode="clip")  # indices are in range; "clip" skips a buffer
     np.multiply(data, buf, out=buf)
     return np.add.reduceat(buf, indptr[:-1], out=out)
 

@@ -218,7 +218,7 @@ class TestBuiltinCase:
 class TestSynthCase:
     def test_deterministic(self):
         assert synth_ieee118_style(7) == synth_ieee118_style(7)
-        assert synth_bus_lines(7) == synth_bus_lines(7)
+        assert synth_bus_lines(7).tolist() == synth_bus_lines(7).tolist()
 
     def test_distinct_seeds_differ(self):
         assert synth_ieee118_style(7) != synth_ieee118_style(8)
@@ -247,13 +247,17 @@ class TestSynthCase:
         case = synth_ieee118_style(5)
         assert parse_case(serialize_case(case)) == case
 
-    @pytest.mark.parametrize("n_gen", [54, 300])
+    # one generator has 3 buses, too few pairs for its padding target of 5
+    # lines, so its padding stops at the draw budget; two take all 6 pairs of
+    # their 4 buses
+    @pytest.mark.parametrize("n_gen", [1, 2, 3, 17, 54, 300, 1000])
     def test_layout_matches_reference(self, n_gen):
         for seed in range(32):
             gen_buses, lines = reference_synth_layout(seed, n_gen)
             assert _synth_buses(seed, n_gen)[2] == gen_buses
             assert [g.bus for g in synth_ieee118_style(seed, n_gen).generators] == gen_buses
-            assert synth_bus_lines(seed, n_gen) == lines
+            got = synth_bus_lines(seed, n_gen)
+            assert got.shape == (len(lines), 2) and got.tolist() == [list(line) for line in lines]
 
 
 class TestToProblems:
@@ -326,6 +330,17 @@ class TestBusDerivedGraph:
             case = synth_ieee118_style(seed)
             g = bus_derived_graph(case, synth_bus_lines(seed))
             assert g.connected
+
+    def test_bus_numbers_beyond_int64(self):
+        # bus numbers are any integers: 2**70, -2**64 and 2**63 are buses like
+        # 1 and 5 (the last network leaves bus 2**70 apart)
+        big, low = 2**70, -(2**64)
+        gens = tuple(GeneratorRecord(i + 1, bus, 0.1, 1.0, 0.0, 0.0, 1.0) for i, bus in enumerate([big, 1, 5]))
+        case = DispatchCase(generators=gens, demand=0.0, name="toy")
+        wide = np.array([[2**63, 1], [5, 2**63]], dtype=np.uint64)
+        for lines in ([(big, 5), (5, 1)], [(big, low), (low, 1), (5, 1)], wide):
+            expected = graph_outcome(reference_bus_derived_graph, case, lines)
+            assert graph_outcome(bus_derived_graph, case, lines) == expected
 
 
 class TestBusLinesFormat:

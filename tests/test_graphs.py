@@ -1,5 +1,6 @@
 """Graph topology, weight construction/validation, and spectral gap tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from netalloc import (
     GraphTopology,
     RowSumViolation,
     SparsityMismatch,
+    WeightMatrix,
     ZeroDiagonal,
     bus_derived_graph,
     complete_graph,
@@ -57,6 +59,29 @@ class TestGraphTopology:
         assert g.degrees().tolist() == [1, 2, 1]
         assert g.edges.tolist() == [[0, 1], [1, 2]]
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(0, 1), (2, 2), (0, 5)], r"^self-loop at node 2$"),
+            ([(0, 1), (3, 1), (2, 2)], r"^edge \(3,1\) outside node range \[0,3\)$"),
+            ([(0, 1), (1, 2), (1, 0), (0, 0)], r"^duplicate edge \(0, 1\)$"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "form",
+        [
+            list,
+            lambda pairs: np.array(pairs, dtype=np.int32),
+            lambda pairs: np.array(pairs, dtype=np.int64),
+            lambda pairs: (pair for pair in pairs),
+        ],
+        ids=["list", "int32", "int64", "generator"],
+    )
+    def test_first_bad_pair_in_any_form_names_plain_ints(self, pairs, message, form):
+        with pytest.raises(ValueError, match=message) as err:
+            GraphTopology(3, form(pairs))
+        assert "np." not in str(err.value)
+
 
 class TestConnectivity:
     def test_path_connected(self):
@@ -70,6 +95,18 @@ class TestConnectivity:
 
     def test_two_node_cycle_is_single_edge(self):
         assert cycle_graph(2).edges.tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize("n", [*range(2, 41), 1000])
+    def test_families_match_their_lists(self, n):
+        lists = {
+            cycle_graph: [(0, 1)] if n == 2 else [(i, (i + 1) % n) for i in range(n)],
+            path_graph: [(i, i + 1) for i in range(n - 1)],
+            complete_graph: [(i, j) for i in range(n) for j in range(i + 1, n)],
+        }
+        for build, pairs in lists.items():
+            g, expected = build(n), GraphTopology(n, pairs)
+            assert g.edges.dtype == expected.edges.dtype and np.array_equal(g.edges, expected.edges)
+            assert g.connected == expected.connected
 
 
 class TestMetropolisWeights:
@@ -107,6 +144,54 @@ class TestMetropolisWeights:
             w = metropolis_weights(random_connected_graph(suite_rng, n))
             assert np.abs(w.entries.sum(axis=0) - 1.0).max() <= 1e-12
             assert np.abs(w.entries.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+class TestWeightMatrixForm:
+    """A ``WeightMatrix`` refuses malformed CSR arrays however it is built."""
+
+    def test_refuses_sigma2_out_of_range(self):
+        with pytest.raises(ValueError, match=r"^sigma2 must lie in \[0, 1\), got 1.5$"):
+            WeightMatrix(5, 1.5, np.arange(6), np.arange(5), np.full(5, 2.0))
+        w = metropolis_weights(cycle_graph(4))
+        for sigma2 in (1.0, -1e-300, math.nan):
+            with pytest.raises(ValueError, match="sigma2 must lie in"):
+                dataclasses.replace(w, sigma2=sigma2)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("indptr", np.array([0, 3, 6, 9]), "do not fit n = 4"),
+            ("data", np.ones(11), "do not fit n = 4"),
+            ("indices", np.arange(12.0), "integer arrays"),
+            ("indptr", np.array([1, 3, 6, 9, 12]), "rise from 0 to nnz = 12"),
+            ("indptr", np.array([0, 3, 3, 9, 12]), "rise from 0 to nnz = 12"),
+            ("indptr", np.array([0, 3, 6, 9, 11]), "rise from 0 to nnz = 12"),
+            ("indices", np.array([0, 1, 4, 0, 1, 2, 1, 2, 3, 0, 2, 3]), r"lie in \[0, 4\)"),
+            ("indices", np.array([-1, 1, 3, 0, 1, 2, 1, 2, 3, 0, 2, 3]), r"lie in \[0, 4\)"),
+            ("indices", np.array([1, 0, 3, 0, 1, 2, 1, 2, 3, 0, 2, 3]), "increase within each row"),
+            ("indices", np.array([0, 1, 3, 0, 1, 1, 1, 2, 3, 0, 2, 3]), "increase within each row"),
+            ("indices", np.array([0, 1, 3, 0, 1, 2, 1, 2, 3, 0, 1, 2]), "store its diagonal"),
+            ("data", np.r_[np.nan, np.ones(11)], "must be finite"),
+            ("data", np.r_[np.ones(11), -np.inf], "must be finite"),
+        ],
+    )
+    def test_refuses_malformed_csr(self, field, value, message):
+        w = metropolis_weights(cycle_graph(4))  # rows [0 1 3] [0 1 2] [1 2 3] [0 2 3]
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(w, **{field: value})
+        with pytest.raises(ValueError, match=message):
+            WeightMatrix(**{**vars(w), field: value})
+
+    def test_refuses_the_sigma2_of_a_disconnected_graph(self):
+        # a doubly stochastic matrix of two components has sigma2 = 1
+        g = GraphTopology(4, [(0, 1), (2, 3)])
+        a = np.kron(np.eye(2), np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="sigma2 must lie in"):
+            validate_weight_matrix(a, g)
+
+    def test_accepts_a_well_formed_identity(self):
+        w = WeightMatrix(5, 0.99, np.arange(6), np.arange(5), np.ones(5))
+        assert w.entries.tolist() == np.eye(5).tolist()
 
 
 class TestValidateWeightMatrix:
