@@ -295,9 +295,8 @@ def metropolis_weights(g):
     Edge weights are ``1 / (1 + max(deg_i, deg_j))`` and the diagonal absorbs
     the remainder, which yields a symmetric doubly stochastic matrix with a
     strictly positive diagonal using only local degree information.
+    :func:`validate_weight_matrix` rejects a graph that is not connected.
     """
-    if not g.connected:
-        raise DisconnectedGraph("metropolis weights require a connected graph")
     deg = g.degrees()
     i, j = g.edges.T
     w = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
@@ -315,12 +314,12 @@ def metropolis_weights(g):
 def validate_weight_matrix(entries, g):
     """Validate a raw matrix against a graph and wrap it as a WeightMatrix.
 
-    Checks row/column sums to :data:`STOCHASTIC_TOL`, a strictly positive
-    diagonal, and that off-diagonal entries are positive exactly on the edge
-    set, in that order; the first row, column or entry that fails, in
-    row-major order, raises. Accepts any user-supplied matrix, not only
-    Metropolis ones. A graph that is not connected gives ``sigma2 >= 1``,
-    which :class:`WeightMatrix` refuses with ``ValueError``.
+    A graph that is not connected, whose ``sigma2`` is 1, raises
+    :class:`DisconnectedGraph` first. Then checks row/column sums to
+    :data:`STOCHASTIC_TOL`, a strictly positive diagonal, and that
+    off-diagonal entries are positive exactly on the edge set, in that order;
+    the first row, column or entry that fails, in row-major order, raises.
+    Accepts any user-supplied matrix, not only Metropolis ones.
 
     Each sum is one ``math.fsum`` over the stored entries of a row or column,
     which the result keeps as its CSR arrays: the zeros they skip change
@@ -330,6 +329,8 @@ def validate_weight_matrix(entries, g):
     weights are) are its row sums, since ``fsum`` is exact, so they are not
     taken again.
     """
+    if not g.connected:
+        raise DisconnectedGraph("metropolis weights require a connected graph")
     a = np.asarray(entries, dtype=float)
     if a.shape != (g.n, g.n):
         raise ValueError(f"matrix shape {a.shape} does not match graph with n={g.n}")

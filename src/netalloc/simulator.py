@@ -29,192 +29,75 @@ and :meth:`RunTrace.total_cost` go through
 arrays and per-node calls; each Lagrangian row is one ``math.fsum`` over its
 nodes' terms.
 
-The CSV writers format with :func:`netalloc._csvtext.write_rows`, one bytes
-``%``-template per round with the node indices baked into it, in blocks of
-about 4096 cells, so peak memory does not grow with the run length. Nearly
-all of a run's output time is this digit formatting, so a table of at least
-:data:`SPLIT_CELLS` (2**16) cells, when ``os.sched_getaffinity`` allows two
-or more CPUs, is split into contiguous row ranges: ``min(cpus - 1, 3)``
-helper processes (one on a 2-vCPU machine) each run ``_csvtext.py`` as a
-numpy-free script, which reads its rows' raw float64 values from an unnamed
-temporary file in the CSV's directory and formats them into another, while
-this process formats the head range and then appends the helpers' parts in
-order. This thread and each helper are pinned to CPUs of their own while the
-helpers run. A helper that cannot start or exits nonzero has its rows
-formatted in this process; either way the bytes are those of the in-process
-writer, and every helper is reaped and every temporary file closed, which
-removes it, before the writer returns or raises. Both benchmark traces split
-(``synth:7`` over 5000 rounds, 270,054 cells; ``synth:7:300`` over 500
-rounds, 150,300 cells); ``builtin:ieee14`` over 5000 rounds (25,005 cells)
-and the summary of any run under 2**16 rounds stay in-process. On a 2-vCPU
-VM with numpy 2.4.6 this cut the median ``run_s`` of the ``dispatch54``
-benchmark from 0.554 s to 0.421 s (lower in 10 of 10 interleaved pairs) and
-of ``cycle300`` from 0.397 s to 0.327 s (6 of 6).
+The CSV writers format each block of about :data:`CSV_BLOCK_CELLS` (4096)
+cells with one bytes ``%``-template per round, the node indices baked in,
+so peak memory does not grow with the run length. Its ``%s`` slots take each
+value's ``b"%.17g"`` bytes from :class:`~netalloc._g17.G17`, exact by
+construction: in fixed notation ``10**(16 - E)`` is an exact double, so
+Dekker's product gives ``|v| * 10**(16 - E)`` exactly and its rounding half
+to even is the 17 digits of ``%.17g`` (see :mod:`netalloc._g17`). Python
+formats the rest, round 0's zero multipliers: 0.03 % of the cells of a
+5000-round ``builtin:ieee14`` trace, 0.02 % of ``synth:7`` over 5000 rounds
+and 0.20 % of ``synth:7:300`` over 500. The writers start no process. On a
+2-vCPU VM with numpy 2.4.6, median of 5 fresh processes (3 for the last),
+``to_csv`` took 0.025, 0.23 and 0.12 s on these traces and 1.05 s on a
+2000-round ``synth:7:1000`` cycle, where Python's ``%.17g`` took 0.039 s
+and, split over two processes, 0.35, 0.24 and 1.72 s.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import shutil
-import signal
-import sys
-import tempfile
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _csvtext
-from ._csvtext import row_blocks as _row_blocks
+from ._g17 import G17
 from .graphs import _require_weight_matrix
 from .objectives import NodeCosts
 
-# A table of at least this many cells (rows x cells per row) is formatted in
-# parallel, by at most MAX_HELPERS helper processes and the caller.
-SPLIT_CELLS = 2**16
-MAX_HELPERS = 3
+# Cells (one node at one round) formatted or summed per block.
+CSV_BLOCK_CELLS = 4096
 
 # a trace line with a slot for its node index, filled once per node; a summary line
-_TRACE_CELL = b"%%d,%d,%%.17g,%%.17g,%%.17g\n"
+_TRACE_CELL = b"%%d,%d,%%s,%%s,%%s\n"
 _TRACE_DTYPE = [("k", "i8"), ("node", "i8"), ("x", "f8"), ("lambda", "f8"), ("v", "f8")]
-_SUMMARY_ROW = b"%d,%.17g,%.17g,%.17g\n"
+_SUMMARY_ROW = b"%d,%s,%s,%s\n"
 
 
-def _helper_count(cells):
-    """Helper processes for a table of ``cells`` cells: one fewer than the
-    CPUs this process may run on, at most :data:`MAX_HELPERS`, and none below
-    :data:`SPLIT_CELLS` cells or where process affinity is unknown."""
-    if cells < SPLIT_CELLS or not hasattr(os, "sched_getaffinity"):
-        return 0
-    return min(len(os.sched_getaffinity(0)) - 1, MAX_HELPERS)
+def _row_blocks(rows, width):
+    """``(r0, r1)`` row ranges of about :data:`CSV_BLOCK_CELLS` cells of ``width`` columns."""
+    step = max(1, CSV_BLOCK_CELLS // width)
+    for r0 in range(0, rows, step):
+        yield r0, min(rows, r0 + step)
 
 
-def _write_csv(path, header, round_template, cols):
-    """Write ``header``, then ``round_template`` formatted once per row of the
-    ``(rows, cells)`` float arrays ``cols`` (see :func:`_csvtext.write_rows`).
+def _write_csv(path, header, template, cols):
+    """Write ``header``, then ``template`` formatted once per row of the
+    ``(rows, cells)`` float arrays ``cols``.
 
-    With :func:`_helper_count` helpers, the rows are split into contiguous
-    ranges; each helper (:class:`_Part`) formats one tail range while this
-    process formats the head range into ``path``, then appends the helpers'
-    parts in order. A helper that cannot start or exits nonzero has its rows
-    formatted here instead. The bytes are the same either way. While the
-    helpers run, this thread and each helper are pinned to CPUs of their own
-    (:func:`_spread`); the thread's CPU affinity is restored before return.
+    ``template`` holds one line per cell of a row, each formatting the row's
+    ``k`` and then that cell of every column as ``%s``. A block of rows is
+    formatted by one ``%`` on the template repeated; its arguments, each
+    column's ``b"%.17g"`` bytes from :class:`~netalloc._g17.G17`, are
+    interleaved by slice assignment.
     """
     cols = [np.asarray(col, dtype=np.float64) for col in cols]
     rows, cells = cols[0].shape
-    helpers = max(0, min(_helper_count(rows * cells), rows - 1))
-    cuts = [rows * h // (helpers + 1) for h in range(helpers + 2)]
-    parts = [_Part(lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-    allowed = os.sched_getaffinity(0) if parts else None
-    try:
-        with open(path, "wb") as fh:
-            for part in parts:
-                with contextlib.suppress(OSError):  # its rows are formatted here instead
-                    part.start(path, round_template, cols)
-            if parts:
-                _spread([0] + [part.pid for part in parts if part.pid is not None], sorted(allowed))
-            fh.write(header)
-            _format_rows(fh, round_template, cols, 0, cuts[1])
-            for part in parts:
-                if part.wait() == 0:
-                    part.out.seek(0)
-                    shutil.copyfileobj(part.out, fh)
-                else:
-                    _format_rows(fh, round_template, cols, part.lo, part.hi)
-    finally:
-        for part in parts:
-            part.close()
-        if parts:
-            with contextlib.suppress(OSError):  # as in _spread
-                os.sched_setaffinity(0, allowed)
-
-
-def _spread(pids, cpus):
-    """Pin process ``pids[j]`` (0: this thread) to the CPU ``cpus[j % len(cpus)]``.
-
-    A new process may start on its parent's CPU, and the kernel may leave
-    both there while another CPU idles. On a 2-vCPU VM (Linux 6.18), a
-    270,054-cell trace written by a fresh process after 0.3 s of work on one
-    CPU, as ``netalloc run`` writes it, took 0.42-0.51 s in 5 of 6 unpinned
-    calls, both halves on one CPU, and 0.22-0.32 s in all 6 pinned calls.
-    """
-    for j, pid in enumerate(pids):
-        with contextlib.suppress(OSError):  # the helper has exited, or pinning is not allowed
-            os.sched_setaffinity(pid, {cpus[j % len(cpus)]})
-
-
-def _format_rows(fh, template, cols, lo, hi):
-    """Format rows ``lo .. hi - 1`` of ``cols`` into ``fh`` in this process."""
-
-    def read(r0, r1):
-        return [col[lo + r0 : lo + r1].ravel().tolist() for col in cols]
-
-    _csvtext.write_rows(fh, template, lo, hi - lo, cols[0].shape[1], read)
-
-
-class _Part:
-    """A helper process that formats rows ``lo .. hi - 1`` of a table.
-
-    The helper reads its input, the template and the rows' raw float64
-    values, as its standard input and writes its part of the CSV as its
-    standard output. Both are unnamed temporary files in the CSV's directory,
-    so closing them removes them, and no name is left behind even if this
-    process is killed. ``pid`` is None when no helper runs: before
-    :meth:`start`, when it could not start, and once it is reaped.
-    """
-
-    def __init__(self, lo, hi):
-        self.lo, self.hi = lo, hi
-        self.pid = None
-        self.files = []
-
-    def start(self, path, template, cols):
-        """Write the helper's input and start it, unless this Python cannot run it.
-
-        Raises OSError when the input cannot be written or the helper cannot
-        be started.
-        """
-        script = _csvtext.__file__
-        if not (sys.executable and script and os.path.isfile(script)):
-            return
-        directory = os.path.dirname(os.path.abspath(path))
-        for _ in range(2):
-            self.files.append(tempfile.TemporaryFile(dir=directory))
-        src, self.out = self.files
-        src.write(template)
-        for col in cols:
-            col[self.lo : self.hi].tofile(src)
-        src.flush()
-        args = (os.getpid(), len(template), self.lo, self.hi - self.lo, cols[0].shape[1], len(cols))
-        argv = [sys.executable, "-I", "-S", script, *map(str, args)]
-        streams = [
-            (os.POSIX_SPAWN_DUP2, src.fileno(), 0),
-            (os.POSIX_SPAWN_DUP2, self.out.fileno(), 1),
-            (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0),
-        ]
-        self.pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=streams)
-
-    def wait(self):
-        """The helper's exit code once it exits; 1 if it never started."""
-        if self.pid is None:
-            return 1
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        return os.waitstatus_to_exitcode(status)
-
-    def close(self):
-        """Kill and reap the helper if it still runs, and remove its files."""
-        if self.pid is not None:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(self.pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(self.pid, 0)
-            self.pid = None
-        for fh in self.files:
-            fh.close()
+    digits = G17()
+    stride = len(cols) + 1
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for r0, r1 in _row_blocks(rows, cells):
+            args = [0] * ((r1 - r0) * cells * stride)
+            ks = []
+            for k in range(r0, r1):  # each k once per cell of its row
+                ks += [k] * cells
+            args[0::stride] = ks
+            for j, col in enumerate(cols, start=1):
+                args[j::stride] = digits(col[r0:r1].ravel())
+            fh.write(template * (r1 - r0) % tuple(args))
 
 
 def consensus_step(A, lams):
@@ -267,7 +150,7 @@ class RunTrace:
     derived from them (:meth:`residuals`, :meth:`spreads`,
     :meth:`lagrangians`, :meth:`time_weighted_averages`, the rows of
     :meth:`summary_to_csv` and :meth:`to_csv`) is computed over row blocks of
-    about :data:`~netalloc._csvtext.CSV_BLOCK_CELLS` (4096) cells, so no
+    about :data:`CSV_BLOCK_CELLS` (4096) cells, so no
     temporary has the trace's shape; what remains grows with the rows only,
     one float per row and quantity. A per-row value depends on no other row,
     so blocking leaves its bits alone, and a sum over rows carries from block

@@ -183,11 +183,14 @@ class TestWeightMatrixForm:
             WeightMatrix(**{**vars(w), field: value})
 
     def test_refuses_the_sigma2_of_a_disconnected_graph(self):
-        # a doubly stochastic matrix of two components has sigma2 = 1
-        g = GraphTopology(4, [(0, 1), (2, 3)])
+        # a doubly stochastic matrix of two components has sigma2 = 1 (its
+        # computed value a few ulps above); validate_weight_matrix rejects the
+        # graph before it gets there
         a = np.kron(np.eye(2), np.full((2, 2), 0.5))
+        sigma2 = second_largest_singular_value(a)
+        assert sigma2 >= 1.0
         with pytest.raises(ValueError, match="sigma2 must lie in"):
-            validate_weight_matrix(a, g)
+            dataclasses.replace(metropolis_weights(cycle_graph(4)), sigma2=sigma2)
 
     def test_accepts_a_well_formed_identity(self):
         w = WeightMatrix(5, 0.99, np.arange(6), np.arange(5), np.ones(5))
@@ -206,6 +209,16 @@ class TestValidateWeightMatrix:
         # eigenvalues 1 and 0.5 of the symmetric matrix
         w = validate_weight_matrix([[0.75, 0.25], [0.25, 0.75]], self.edge)
         assert w.sigma2 == pytest.approx(0.5, abs=1e-12)
+
+    def test_disconnected_graph_raises_disconnected_graph(self):
+        # a valid doubly stochastic matrix of each component: the graph is
+        # what is wrong, and the error says so, as metropolis_weights' does
+        g = GraphTopology(4, [(0, 1), (2, 3)])
+        a = np.kron(np.eye(2), np.full((2, 2), 0.5))
+        with pytest.raises(DisconnectedGraph, match="^metropolis weights require a connected graph$"):
+            validate_weight_matrix(a, g)
+        with pytest.raises(DisconnectedGraph, match="^metropolis weights require a connected graph$"):
+            metropolis_weights(g)
 
     def test_identity_is_sparsity_mismatch(self):
         with pytest.raises(SparsityMismatch) as err:
