@@ -1,4 +1,4 @@
-"""Golden SHA-256 digests of every output of two fixed CLI runs and their replays.
+"""Golden SHA-256 digests of every output of three fixed CLI runs and their replays.
 
 Any change to numerical behaviour or output formatting changes a digest. Such
 a change must be deliberate: re-pin the digests below and record why in
@@ -11,6 +11,19 @@ import pytest
 
 from netalloc.cli import main
 
+# builtin:ieee14 with generator 3's gamma set to 0.0: a flat (linear) cost
+CASE_FILES = {
+    "ieee14-flat3.csv": (
+        "# demand=300.0 name=ieee14-flat3\n"
+        "id,bus,gamma,beta,mu,pmin,pmax\n"
+        "1,1,0.04,2.0,0.0,0.0,80.0\n"
+        "2,2,0.03,3.0,0.0,0.0,90.0\n"
+        "3,3,0.0,4.0,0.0,0.0,70.0\n"
+        "4,6,0.03,4.0,0.0,0.0,70.0\n"
+        "5,8,0.04,2.5,0.0,0.0,80.0\n"
+    ),
+}
+
 GOLDEN = {
     ("builtin:ieee14", "cycle"): {
         "trace.csv": "7c2f10e98494037cc38f04d9cd9f70e8ef98cfe11af2ef89ff472c3604639a4d",
@@ -20,6 +33,15 @@ GOLDEN = {
         "alloc.svg": "4c664b367f5d60bf79c07a622336f86d0d4de8465c094ef412024dd9ed1470ef",
         "multipliers.svg": "28d21e3c76d1960f1e0bf8cbf51c0cbc0c23da5b9b4790bc2ff97cbbc4cf89e8",
         "residual.svg": "323e4e33f80a0ffff5641c298da021c4646ce3aba2aea2ac015217117512d469",
+    },
+    ("ieee14-flat3.csv", "cycle"): {
+        "trace.csv": "64da27049ed7d91d1be578383abd17ed914ccaadabea44e91bbc85e43bdb0de4",
+        "summary.csv": "d387c151e488e9ee1c4306e3974def73dd420de96a21b66382b1efbea48f0d7f",
+        "oracle.csv": "2710ea123c8d7f397c803c223e657ac07bfb1ebac5172d95e7671a28f1e69f79",
+        "bounds.csv": "58eda72fe0ed181b26372a5758b742d1c95c13bc1cd04f9b7d6a97b4d363d279",
+        "alloc.svg": "ac27e6c828cb59db1dafbdd6448743d563f6aba2e968732e02e1c61c665a903e",
+        "multipliers.svg": "c06567c842318e99e17632efcac164249b35e7b09a77dede6c3d8a72ff583036",
+        "residual.svg": "a82617a4a80c73921ee9c1018671f0743955cb96af4e489fd249a3bc114043f5",
     },
     ("synth:7", "bus-derived"): {
         "trace.csv": "248f901ef974fe90e89729e2c8dbfa0b9d200d0b053651396767aea35e6a813e",
@@ -39,7 +61,11 @@ def _sha256(path):
 
 @pytest.mark.parametrize("case,graph", sorted(GOLDEN))
 def test_run_and_replay_digests(tmp_path, capsys, case, graph):
-    common = ["--case", case, "--graph", graph, "--schedule", "recip-sqrt"]
+    spec = case
+    if case in CASE_FILES:
+        spec = tmp_path / case
+        spec.write_text(CASE_FILES[case], encoding="utf-8")
+    common = ["--case", str(spec), "--graph", graph, "--schedule", "recip-sqrt"]
     run_dir = tmp_path / "run"
     assert main(["run", *common, "--iters", "5000", "--out", str(run_dir)]) == 0
     got = {name: _sha256(run_dir / name) for name in GOLDEN[(case, graph)]}
