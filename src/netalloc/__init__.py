@@ -57,11 +57,9 @@ from .graphs import (
 )
 from .objectives import (
     FeasibleInterval,
-    GenericConvex,
     LocalProblem,
     Quadratic,
     dual_value,
-    golden_section_min,
     primal_argmin,
     subgradient_bound,
 )

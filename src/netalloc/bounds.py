@@ -209,7 +209,7 @@ def _dual_sums(problems):
     shares = np.array([p.share for p in problems], dtype=float)
 
     def dual_sums(lam):
-        x_hat = costs.finite_argmin(lam)
+        x_hat = costs.argmin(lam)
         terms = -(costs.value(x_hat) + lam * (x_hat - shares))
         return [math.fsum(row) for row in terms.reshape(-1, shares.size).tolist()]
 

@@ -4,8 +4,9 @@ Solves ``min sum_i f_i(x_i)`` subject to ``sum_i x_i = b`` and box constraints
 by bisection on the shared multiplier: the aggregate response
 ``g(lam) = sum_i argmin_x { f_i(x) + lam*x }`` is nonincreasing in ``lam``, so
 the saddle-point multiplier is the root of ``g(lam) = b``. This exploits the
-separable one-dimensional structure and handles any convex cost through the
-same per-node argmin used by the distributed method's primal step.
+separable one-dimensional structure and evaluates ``g`` through the same
+:class:`~netalloc.objectives.NodeCosts` argmin as the distributed method's
+primal step.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketFailure, InfeasibleTotal
-from .objectives import NodeCosts, Quadratic, primal_argmin
+from .objectives import NodeCosts, primal_argmin
 
 BALANCE_TOL = 1e-9
 MAX_BISECTIONS = 500
@@ -37,14 +38,11 @@ class OracleSolution:
 
 
 def _initial_bracket_halfwidth(problems):
-    """Multiplier magnitude that saturates every quadratic node's box."""
+    """Multiplier magnitude that saturates every node's box."""
     m = 1.0
     for p in problems:
-        if isinstance(p.cost, Quadratic):
-            reach = abs(p.cost.beta) + 2.0 * p.cost.gamma * max(
-                abs(p.interval.lo), abs(p.interval.hi)
-            )
-            m = max(m, 1.0 + reach)
+        reach = abs(p.cost.beta) + 2.0 * p.cost.gamma * max(abs(p.interval.lo), abs(p.interval.hi))
+        m = max(m, 1.0 + reach)
     return m
 
 
@@ -75,8 +73,7 @@ def solve_centralized(problems, b=None, tol=BALANCE_TOL):
     costs = NodeCosts(problems)
 
     def g(lam):
-        # a non-finite argmin raises ValueError naming its node and lam
-        val = math.fsum(costs.finite_argmin(lam).tolist())
+        val = math.fsum(costs.argmin(lam).tolist())
         sweep.append((lam, val))
         return val
 
@@ -106,7 +103,9 @@ def solve_centralized(problems, b=None, tol=BALANCE_TOL):
         if lam_hi - lam_lo <= 1e-16 * max(1.0, abs(lam_lo), abs(lam_hi)):
             break  # bracket collapsed onto a jump of g (flat-cost plateau)
 
-    # slack covers argmin-oracle noise (golden section localizes to ~sqrt(eps))
+    # each node's rounded argmin is nonincreasing in lam and fsum rounds the
+    # exact sum once, so g is nonincreasing bit for bit; the slack is a margin
+    # on top, and a breach means the argmin itself is wrong
     total_width = math.fsum(p.interval.width for p in problems)
     slack = 1e-9 + 1e-7 * total_width
     ordered = sorted(sweep)

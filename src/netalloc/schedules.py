@@ -92,7 +92,7 @@ class Recip(StepSchedule):
 
 
 class PowerLaw(StepSchedule):
-    """``alpha(0) = c``, ``alpha(k) = c / k**p`` with ``c > 0``, ``p in (0.5, 1]``.
+    """``alpha(0) = c``, ``alpha(k) = c / k**p`` with finite ``c > 0``, ``p in (0.5, 1]``.
 
     The exponent range gives ``sum alpha = inf`` and ``sum alpha**2 < inf``;
     ``c != 1`` makes the schedule non-normalized for bound checks.
@@ -101,8 +101,8 @@ class PowerLaw(StepSchedule):
     def __init__(self, c, p):
         c = float(c)
         p = float(p)
-        if c <= 0.0:
-            raise ValueError(f"power-law coefficient must be positive, got {c}")
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"power-law coefficient must be finite and positive, got {c}")
         if not (0.5 < p <= 1.0):
             raise ValueError(f"power-law exponent must lie in (0.5, 1], got {p}")
         self.c = c

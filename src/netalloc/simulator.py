@@ -25,9 +25,9 @@ whole round (consensus, primal and dual step) took about 35 us on
 
 The primal step of a round and the cost terms of :meth:`RunTrace.lagrangians`
 and :meth:`RunTrace.total_cost` go through
-:class:`~netalloc.objectives.NodeCosts`, which alone chooses between numpy
-arrays and per-node calls; each Lagrangian row is one ``math.fsum`` over its
-nodes' terms.
+:class:`~netalloc.objectives.NodeCosts`, numpy expressions over every node's
+quadratic coefficients with the bits of the per-node functions; each
+Lagrangian row is one ``math.fsum`` over its nodes' terms.
 
 The CSV writers format each block of about :data:`CSV_BLOCK_CELLS` (4096)
 cells with one bytes ``%``-template per round, the node indices baked in,

@@ -9,7 +9,6 @@ import pytest
 
 from netalloc import (
     FeasibleInterval,
-    GenericConvex,
     HypothesisViolation,
     LocalProblem,
     PowerLaw,
@@ -252,16 +251,6 @@ class TestCheckBounds:
         assert "# dual-gap" in lines
         assert lines[-1].startswith("# summary {")
 
-    def test_nan_argmin_names_node_and_multiplier(self):
-        box = FeasibleInterval(-1.0, 1.0)
-        problems = [LocalProblem(Quadratic(1.0, 0.0), box, 0.0) for _ in range(3)]
-        w = metropolis_weights(cycle_graph(3))
-        trace = run_dlm(problems, w, RecipSqrt(), 10)
-        problems[1] = LocalProblem(GenericConvex(lambda x: x * x, lambda c, lo, hi: math.nan), box, 0.0)
-        with pytest.raises(ValueError) as err:
-            check_bounds(trace, problems, w, 0.5)
-        assert str(err.value) == "non-finite argmin x=nan at node 1 for multiplier lam=0.5"
-
     @pytest.mark.parametrize("lamstar", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_lamstar(self, lamstar):
         problems = [make_problem(-1.0, 1.0, 0.0) for _ in range(3)]
@@ -290,19 +279,13 @@ class TestCheckBounds:
             assert all(r[4] for r in report.gap_rows)
 
 
-def as_generic(problems):
-    """The same quadratics as generic costs, which take the per-node paths."""
-    return tuple(
-        LocalProblem(
-            GenericConvex(
-                value_fn=p.cost.value,
-                argmin_fn=lambda c, lo, hi, q=p.cost: -(q.beta + c) / (2.0 * q.gamma),
-            ),
-            p.interval,
-            p.share,
-        )
-        for p in problems
-    )
+def with_flat_nodes(problems, nodes):
+    """The problems with ``gamma`` set to 0.0 at ``nodes``: linear costs."""
+    problems = list(problems)
+    for i in nodes:
+        p = problems[i]
+        problems[i] = LocalProblem(Quadratic(0.0, p.cost.beta, p.cost.mu), p.interval, p.share)
+    return problems
 
 
 def bits(values):
@@ -315,29 +298,28 @@ class TestVectorisedPaths:
     def rng(self):
         return np.random.default_rng(SUITE_SEED + 3)
 
-    def test_quadratic_path_matches_per_node_path(self, rng):
-        problems, total = random_quadratic_instance(rng, n=7)
-        w = metropolis_weights(random_connected_graph(rng, 7))
-        trace = run_dlm(problems, w, RecipSqrt(), 400)
-        lamstar = solve_centralized(problems, total).lam_star
-        generic = as_generic(problems)
-        assert NodeCosts(problems).vectorised and not NodeCosts(generic).vectorised
-        slow = dataclasses.replace(trace, problems=generic)
-        assert bits(trace.lagrangians()) == bits(slow.lagrangians())
-        fast_report = check_bounds(trace, problems, w, lamstar, checkpoints=[1, 7, 100, 400])
-        slow_report = check_bounds(slow, generic, w, lamstar, checkpoints=[1, 7, 100, 400])
-        assert len(fast_report.gap_rows) == 4
-        assert bits(fast_report.gap_rows) == bits(slow_report.gap_rows)
-        assert bits(fast_report.min_gap) == bits(slow_report.min_gap)
+    def lagrangians_match_per_node(self, problems, trace):
+        expected = [
+            lagrangian_value(problems, trace.x[k], trace.lam[max(k - 1, 0)])
+            for k in range(trace.x.shape[0])
+        ]
+        assert bits(trace.lagrangians()) == bits(expected)
+        total = math.fsum(p.cost.value(x) for p, x in zip(problems, trace.x[-1].tolist()))
+        assert bits(trace.total_cost()) == bits(total)
 
-    @pytest.mark.parametrize("family", ["quadratic", "generic"])
+    def test_quadratic_path_matches_per_node_path(self, rng):
+        problems, _ = random_quadratic_instance(rng, n=7)
+        w = metropolis_weights(random_connected_graph(rng, 7))
+        self.lagrangians_match_per_node(problems, run_dlm(problems, w, RecipSqrt(), 400))
+
+    @pytest.mark.parametrize("family", ["quadratic", "zero-gamma mix"])
     def test_dual_gap_blocks_match_per_average_dual_sum(self, rng, family):
         # n = 70 makes two blocks of averages; each block's dual sums have the
         # bits of one fsum of dual_value per average, as node by node
         problems, total = random_quadratic_instance(rng, n=70)
+        if family == "zero-gamma mix":
+            problems = with_flat_nodes(problems, range(0, 70, 9))
         lamstar = solve_centralized(problems, total).lam_star
-        if family == "generic":
-            problems = as_generic(problems)
         w = metropolis_weights(random_connected_graph(rng, 70, extra_edge_prob=0.05))
         trace = run_dlm(problems, w, RecipSqrt(), 60, init_lams=rng.uniform(-5, 5, 70))
         report = check_bounds(trace, problems, w, lamstar, checkpoints=[1, 60])
@@ -352,66 +334,46 @@ class TestVectorisedPaths:
         avgs = trace.time_weighted_averages(60)
         assert bits(_dual_sums(problems)(avgs[:, None])) == bits([dual_sum(avg) for avg in avgs])
 
-    def test_dual_gap_names_first_average_and_node_with_non_finite_argmin(self, rng):
-        # nodes 3 and 5 return NaN above a threshold that only later averages
-        # of the block pass: the error names the first such average, then node 3
-        problems, total = random_quadratic_instance(rng, n=8)
-        lamstar = solve_centralized(problems, total).lam_star
-        w = metropolis_weights(cycle_graph(8))
-        trace = run_dlm(problems, w, RecipSqrt(), 30, init_lams=np.arange(8.0))
-        avgs = trace.time_weighted_averages(10)
-        cut = float(np.sort(avgs)[4])
-        generic = list(as_generic(problems))
-        for i in (3, 5):
-            q = problems[i].cost
-            def argmin(c, lo, hi, q=q):
-                return math.nan if c >= cut else -(q.beta + c) / (2.0 * q.gamma)
-
-            generic[i] = LocalProblem(GenericConvex(q.value, argmin), problems[i].interval, problems[i].share)
-        first = next(avg for avg in avgs if avg >= cut)
-        message = f"non-finite argmin x=nan at node 3 for multiplier lam={first!r}"
-        assert lamstar < cut
-        with pytest.raises(ValueError) as err:
-            check_bounds(dataclasses.replace(trace, problems=generic), generic, w, lamstar, checkpoints=[10])
-        assert str(err.value) == message
-
     def test_oracle_quadratic_aggregate_matches_per_node_path(self, rng):
         problems, _ = random_quadratic_instance(rng, n=9)
+        problems = with_flat_nodes(problems, [3, 7])
         costs = NodeCosts(problems)
         # interior multipliers, box-saturating ones and the bracket's powers of two
         lams = [*rng.uniform(-10, 10, 50), *(s * 2.0**e for s in (-1, 1) for e in range(0, 60, 7))]
         for lam in map(float, lams):
             per_node = math.fsum(primal_argmin(p, lam) for p in problems)
-            assert bits(math.fsum(costs.finite_argmin(lam).tolist())) == bits(per_node)
+            assert bits(math.fsum(costs.argmin(lam).tolist())) == bits(per_node)
 
-    def test_zero_gamma_mix_takes_per_node_path(self, rng):
+    def test_zero_gamma_mix_matches_per_node_lagrangians(self, rng):
         problems, _ = random_quadratic_instance(rng, n=5)
         problems[2] = make_problem(-2.0, 6.0, problems[2].share, gamma=0.0, beta=0.3)
-        assert not NodeCosts(problems).vectorised
         w = metropolis_weights(random_connected_graph(rng, 5))
-        trace = run_dlm(problems, w, RecipSqrt(), 150)
-        expected = [
-            lagrangian_value(problems, trace.x[k], trace.lam[max(k - 1, 0)])
-            for k in range(trace.x.shape[0])
-        ]
-        assert bits(trace.lagrangians()) == bits(expected)
+        self.lagrangians_match_per_node(problems, run_dlm(problems, w, RecipSqrt(), 150))
 
-    @pytest.mark.parametrize("family", ["quadratic", "zero-gamma mix", "generic"])
+    @pytest.mark.parametrize("family", ["quadratic", "zero-gamma mix", "all flat"])
     def test_node_costs_match_per_node_functions(self, rng, family):
         problems, _ = random_quadratic_instance(rng, n=6)
         if family == "zero-gamma mix":
             problems[4] = make_problem(-2.0, 6.0, problems[4].share, gamma=0.0, beta=0.3)
-        elif family == "generic":
-            problems = as_generic(problems)
+        elif family == "all flat":
+            problems = with_flat_nodes(problems, range(6))
         costs = NodeCosts(problems)
-        assert costs.vectorised == (family == "quadratic")
         x = rng.uniform(-6.0, 13.0, (5, 6))
-        expected = [[p.cost.value(row[i]) for i, p in enumerate(problems)] for row in x]
+        expected = [[p.cost.value(xi) for p, xi in zip(problems, row)] for row in x.tolist()]
         assert bits(costs.value(x)) == bits(expected)
-        v = rng.uniform(-8.0, 8.0, 6)
-        assert bits(costs.argmin(v)) == bits([primal_argmin(p, v[i]) for i, p in enumerate(problems)])
-        for lam in (float(rng.uniform(-8.0, 8.0)), 0.0, -0.3, 1e6):
-            assert bits(costs.argmin(lam)) == bits([primal_argmin(p, lam) for p in problems])
+
+        def per_node(v):
+            return [primal_argmin(p, vi) for p, vi in zip(problems, v)]
+
+        # one multiplier per node: random, and the ties v = -beta
+        ties = [-p.cost.beta for p in problems]
+        for v in (rng.uniform(-8.0, 8.0, 6).tolist(), ties):
+            assert bits(costs.argmin(np.array(v))) == bits(per_node(v))
+        # one shared multiplier, as a scalar and as a (B, 1) column of them
+        lams = [float(rng.uniform(-8.0, 8.0)), 0.0, -0.0, -0.3, 1e6, -1e6, *ties]
+        for lam in lams:
+            assert bits(costs.argmin(lam)) == bits(per_node([lam] * 6))
+        assert bits(costs.argmin(np.array(lams)[:, None])) == bits([per_node([lam] * 6) for lam in lams])
 
     def test_consensus_rows_match_direct_bound(self, rng):
         problems, total = random_quadratic_instance(rng, n=6)

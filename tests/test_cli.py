@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from netalloc import FeasibleInterval, GenericConvex, LocalProblem, Quadratic, cli
 from netalloc.cli import main
 
 RUN_FILES = ("trace.csv", "summary.csv", "oracle.csv", "alloc.svg", "multipliers.svg", "residual.svg")
@@ -140,6 +139,22 @@ class TestRun:
         assert captured.err == f"error: ValueError: {reason}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("c", ["inf", "nan"])
+    def test_non_finite_power_law_coefficient_is_one_error_line(self, tmp_path, capsys, c):
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--case", "builtin:ieee14", "--graph", "cycle", "--schedule", f"powerlaw:{c}:1",
+            "--iters", "10", "--out", str(out),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: ValueError: bad power-law spec 'powerlaw:{c}:1': "
+            f"power-law coefficient must be finite and positive, got {c}\n"
+        )
+        assert not out.exists()
+
     def test_bad_split_token_is_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli(
@@ -222,19 +237,6 @@ class TestOracle:
         assert code == 0
         out = capsys.readouterr().out
         assert "lam_star=-2" in out
-
-    def test_non_finite_argmin_is_one_error_line(self, monkeypatch, capsys):
-        # the CLI builds quadratic costs only; swap in a NaN argmin oracle
-        def to_problems(case, shares):
-            box = FeasibleInterval(0.0, case.demand)
-            nan = GenericConvex(lambda x: x * x, lambda c, lo, hi: float("nan"))
-            return [LocalProblem(Quadratic(1.0, 0.0), box, 0.0), LocalProblem(nan, box, 0.0)]
-
-        monkeypatch.setattr(cli.case_io, "to_problems", to_problems)
-        code = run_cli("oracle", "--case", "builtin:ieee14")
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == "error: ValueError: non-finite argmin x=nan at node 1 for multiplier lam=-601.0\n"
 
 
 class TestBounds:

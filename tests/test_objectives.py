@@ -7,11 +7,9 @@ import pytest
 
 from netalloc import (
     FeasibleInterval,
-    GenericConvex,
     LocalProblem,
     Quadratic,
     dual_value,
-    golden_section_min,
     primal_argmin,
     subgradient_bound,
 )
@@ -74,23 +72,6 @@ class TestPrimalArgmin:
         assert primal_argmin(p, 1.0) == -1.0
         assert primal_argmin(p, -5.0) == 3.0
 
-    def test_generic_convex_matches_quadratic(self):
-        quad = Quadratic(0.3, -1.0, 0.5)
-        generic = GenericConvex(lambda x: 0.3 * x * x - 1.0 * x + 0.5)
-        iv = FeasibleInterval(-2.0, 6.0)
-        for v in (-3.0, -0.5, 0.0, 1.0, 4.0):
-            a = quad.shifted_argmin(v, iv)
-            b = generic.shifted_argmin(v, iv)
-            # golden section localizes to ~sqrt(eps) via value comparisons
-            assert b == pytest.approx(a, abs=1e-6)
-
-    def test_generic_convex_user_oracle(self):
-        generic = GenericConvex(
-            lambda x: abs(x), argmin_fn=lambda c, lo, hi: lo if c > -1.0 else hi
-        )
-        iv = FeasibleInterval(0.0, 2.0)
-        assert generic.shifted_argmin(0.0, iv) == 0.0
-
     def test_feasibility_property(self, suite_rng):
         # optimality certificate against random feasible points
         for _ in range(1000):
@@ -114,6 +95,21 @@ class TestQuadraticValidation:
     def test_rejects_negative_gamma(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Quadratic(-0.1, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["gamma", "beta", "mu"])
+    def test_rejects_non_finite_coefficient(self, field, bad):
+        coefficients = {"gamma": 0.1, "beta": 1.0, "mu": 0.0, field: bad}
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {bad}$"):
+            Quadratic(**coefficients)
+
+
+class TestLocalProblemValidation:
+    @pytest.mark.parametrize("cost", [lambda x: x * x, 0.5, None])
+    def test_refuses_a_cost_that_is_not_a_quadratic(self, cost):
+        name = type(cost).__name__
+        with pytest.raises(TypeError, match=rf"^cost must be a Quadratic, got {name}$"):
+            LocalProblem(cost, FeasibleInterval(-1.0, 1.0), 0.0)
 
 
 class TestDualValue:
@@ -180,18 +176,3 @@ class TestSubgradientBound:
         p = LocalProblem(Quadratic(1.0, 0.0), FeasibleInterval(2.0, 2.0), 2.0)
         assert subgradient_bound(p) == 0.0
 
-
-class TestGoldenSection:
-    def test_quadratic_minimum(self):
-        x = golden_section_min(lambda t: (t - 1.3) ** 2, -5.0, 5.0)
-        assert x == pytest.approx(1.3, abs=1e-6)
-
-    def test_plateau_returns_left_edge(self):
-        x = golden_section_min(lambda t: max(abs(t) - 1.0, 0.0), -4.0, 6.0)
-        assert x == pytest.approx(-1.0, abs=1e-6)
-
-    def test_deterministic(self):
-        fn = lambda t: math.exp(0.3 * t) - t
-        a = golden_section_min(fn, -2.0, 8.0)
-        b = golden_section_min(fn, -2.0, 8.0)
-        assert a == b

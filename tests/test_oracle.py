@@ -7,7 +7,6 @@ import pytest
 
 from netalloc import (
     FeasibleInterval,
-    GenericConvex,
     InfeasibleTotal,
     LocalProblem,
     OracleSolution,
@@ -169,42 +168,6 @@ class TestRandomInstances:
             assert abs(sol.f_star + dual_total) <= 1e-6
             assert verify_kkt(problems, sol, b=total)
 
-    def test_generic_convex_matches_quadratic_twin(self):
-        from netalloc import GenericConvex
-
-        coeffs = [(0.3, -1.0), (0.1, 2.0), (0.5, 0.5)]
-        intervals = [(-3.0, 6.0), (0.0, 8.0), (-2.0, 4.0)]
-        generic = [
-            LocalProblem(
-                GenericConvex(lambda x, g=g, b=b: g * x * x + b * x),
-                FeasibleInterval(*iv),
-                1.0,
-            )
-            for (g, b), iv in zip(coeffs, intervals)
-        ]
-        quad = [
-            LocalProblem(Quadratic(g, b), FeasibleInterval(*iv), 1.0)
-            for (g, b), iv in zip(coeffs, intervals)
-        ]
-        a = solve_centralized(generic, 4.0)
-        b = solve_centralized(quad, 4.0)
-        assert a.lam_star == pytest.approx(b.lam_star, abs=1e-6)
-        assert a.f_star == pytest.approx(b.f_star, abs=1e-6)
-        assert verify_kkt(generic, a, b=4.0, tol=1e-6)
-
-    def test_bracket_failure_on_unresponsive_oracle(self):
-        # a (non-convex-consistent) argmin oracle that never moves cannot
-        # bracket the balance; the expansion gives up instead of spinning
-        from netalloc import BracketFailure, GenericConvex
-
-        stuck = GenericConvex(lambda x: 0.0, argmin_fn=lambda c, lo, hi: 1.0)
-        problems = [
-            LocalProblem(stuck, FeasibleInterval(0.0, 4.0), 2.0),
-            LocalProblem(stuck, FeasibleInterval(0.0, 4.0), 2.0),
-        ]
-        with pytest.raises(BracketFailure):
-            solve_centralized(problems, 3.0)
-
     def test_flat_cost_plateau(self):
         # linear costs: the aggregate response jumps; the reported residual
         # stays within the plateau width and the allocation stays feasible
@@ -217,26 +180,3 @@ class TestRandomInstances:
         assert sol.residual <= 4.0
         assert sol.f_star <= brute_force_best(problems, 4.0, points=401) + 1e-6
 
-
-class TestNonFiniteArgmin:
-    # an argmin oracle's NaN passes the interval's clamp
-    NAN = GenericConvex(lambda x: x * x, lambda c, lo, hi: math.nan)
-
-    def problems(self, *costs):
-        return [LocalProblem(c, FeasibleInterval(-1.0, 1.0), 0.0) for c in costs]
-
-    def test_oracle_names_node_and_multiplier(self):
-        # the first evaluation is at the lower bracket end -(1 + 2*gamma*1) = -3
-        problems = self.problems(self.NAN, Quadratic(1.0, 0.0))
-        with pytest.raises(ValueError, match=r"^non-finite argmin x=nan at node 0 for multiplier lam=-3\.0$"):
-            solve_centralized(problems)
-
-    def test_oracle_names_first_bad_node(self):
-        problems = self.problems(Quadratic(1.0, 0.0), self.NAN, self.NAN)
-        with pytest.raises(ValueError, match=r"at node 1 for multiplier lam=-3\.0$"):
-            solve_centralized(problems)
-
-    def test_dual_value_names_multiplier(self):
-        (p,) = self.problems(self.NAN)
-        with pytest.raises(ValueError, match=r"^non-finite argmin x=nan for multiplier lam=2\.5$"):
-            dual_value(p, 2.5)

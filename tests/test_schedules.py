@@ -43,8 +43,9 @@ class TestFlags:
 
 class TestValidation:
     def test_power_law_parameter_ranges(self):
-        with pytest.raises(ValueError, match="positive"):
-            PowerLaw(0.0, 0.85)
+        for c in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=rf"^power-law coefficient must be finite and positive, got {c}$"):
+                PowerLaw(c, 0.85)
         with pytest.raises(ValueError, match="exponent"):
             PowerLaw(1.0, 0.5)
         with pytest.raises(ValueError, match="exponent"):

@@ -8,7 +8,6 @@ import pytest
 from netalloc import (
     Custom,
     FeasibleInterval,
-    GenericConvex,
     LocalProblem,
     Quadratic,
     Recip,
@@ -70,7 +69,7 @@ class TestConsensusStep:
             scale = 40 * np.finfo(float).eps * (np.abs(a) * np.abs(trace.lam[k])).sum(axis=1)
             assert (np.abs(v - (a * trace.lam[k]).sum(axis=1)) <= scale).all()
 
-    @pytest.mark.parametrize("family", ["quadratic", "generic"])
+    @pytest.mark.parametrize("family", ["quadratic", "zero-gamma mix"])
     def test_in_place_round_matches_allocating_expression(self, family):
         # run_dlm writes v, x and lam into its history rows; each has the bits
         # of the round's allocating expression
@@ -81,20 +80,15 @@ class TestConsensusStep:
             lo, hi = (np.array([getattr(p.interval, name) for p in problems]) for name in ("lo", "hi"))
 
             def argmin(v):
-                return np.minimum(np.maximum((-v - beta) / (2.0 * gamma), lo), hi)
+                return np.minimum(np.maximum(-(beta + v) / (2.0 * gamma), lo), hi)
 
         else:
-            problems = [
-                LocalProblem(
-                    GenericConvex(p.cost.value, lambda c, lo, hi, q=p.cost: -(q.beta + c) / (2.0 * q.gamma)),
-                    p.interval,
-                    p.share,
-                )
-                for p in problems
-            ]
+            for i in (2, 6):
+                p = problems[i]
+                problems[i] = LocalProblem(Quadratic(0.0, p.cost.beta, p.cost.mu), p.interval, p.share)
 
             def argmin(v):
-                return np.array([primal_argmin(p, vi) for p, vi in zip(problems, v)])
+                return np.array([primal_argmin(p, vi) for p, vi in zip(problems, v.tolist())])
 
         w = metropolis_weights(random_connected_graph(rng, 9))
         sched = RecipSqrt()
@@ -167,17 +161,13 @@ class TestRunDlm:
         with pytest.raises(ValueError, match=r"finite and positive, got alpha\(2\)"):
             run_dlm(two_node_instance(), AVG, sched, 5)
 
-    def test_nan_argmin_fails_at_its_round(self):
-        # two nodes, two argmin calls per round: call 7 is node 1 of round 4
-        calls = []
-
-        def argmin(c, lo, hi):
-            calls.append(c)
-            return math.nan if len(calls) == 8 else 0.5 * (lo + hi)
-
-        p = LocalProblem(GenericConvex(lambda x: x * x, argmin), FeasibleInterval(-1.0, 1.0), 0.0)
-        with pytest.raises(ValueError, match=r"non-finite iterate at round k=4, node 1: x=nan"):
-            run_dlm([p, p], AVG, RecipSqrt(), 10)
+    def test_overflowing_dual_step_fails_at_its_round(self):
+        # alpha(0) * (b - x) = 1e308 * 3 overflows the first dual step to -inf
+        box = FeasibleInterval(-1.0, 1.0)
+        problems = [LocalProblem(Quadratic(1.0, 0.0), box, share) for share in (3.0, -3.0)]
+        message = r"^non-finite iterate at round k=1, node 0: x=-0\.0, lambda=-inf, v=0\.0$"
+        with pytest.raises(ValueError, match=message):
+            run_dlm(problems, metropolis_weights(cycle_graph(2)), Custom(lambda k: 1e308), 10)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_init_lams_fail_at_round_zero(self, bad):
@@ -225,25 +215,16 @@ class TestRunDlm:
         assert (t1.x == t2.x).all() and (t1.lam == t2.lam).all() and (t1.v == t2.v).all()
 
     def test_vectorized_path_matches_per_node_path(self, suite_rng):
-        # wrap the same quadratics as generic costs to force the scalar path
+        # every round's x has the bits of primal_argmin at that round's v, a
+        # flat (gamma == 0) node included
         problems, _ = random_quadratic_instance(suite_rng, n=4)
-        generic = [
-            LocalProblem(
-                GenericConvex(
-                    value_fn=p.cost.value,
-                    argmin_fn=lambda c, lo, hi, q=p.cost: min(
-                        max((-c - q.beta) / (2.0 * q.gamma), lo), hi
-                    ),
-                ),
-                p.interval,
-                p.share,
-            )
-            for p in problems
-        ]
+        flat = problems[1]
+        problems[1] = LocalProblem(Quadratic(0.0, flat.cost.beta), flat.interval, flat.share)
         w = metropolis_weights(cycle_graph(4))
-        fast = run_dlm(problems, w, RecipSqrt(), 200)
-        slow = run_dlm(generic, w, RecipSqrt(), 200)
-        assert (fast.x == slow.x).all() and (fast.lam == slow.lam).all()
+        trace = run_dlm(problems, w, RecipSqrt(), 200)
+        for x, v in zip(trace.x[1:], trace.v[1:]):
+            expected = [primal_argmin(p, vi) for p, vi in zip(problems, v.tolist())]
+            assert x.tobytes() == np.array(expected).tobytes()
 
     def test_converges_to_oracle(self, suite_rng):
         problems, total = random_quadratic_instance(suite_rng, n=5)
