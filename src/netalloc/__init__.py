@@ -32,17 +32,13 @@ from .cases import (
 )
 from .errors import (
     BracketFailure,
-    ColSumViolation,
     DisconnectedGraph,
     FeasibilityError,
     HypothesisViolation,
     InfeasibleTotal,
     NetallocError,
     ParseError,
-    RowSumViolation,
     ShareSumMismatch,
-    SparsityMismatch,
-    ZeroDiagonal,
 )
 from .graphs import (
     GraphTopology,
@@ -53,7 +49,6 @@ from .graphs import (
     parse_edge_list,
     path_graph,
     second_largest_singular_value,
-    validate_weight_matrix,
 )
 from .objectives import (
     FeasibleInterval,

@@ -5,30 +5,28 @@ doubly stochastic matrix ``A`` whose sparsity matches an undirected connected
 graph. :class:`GraphTopology` holds that graph as one sorted array of edges
 ``i < j`` and learns whether it is connected once, when it is built, from
 :func:`component_labels`, the one connectivity routine, which also labels the
-load-bus components of the bus-derived graph. :func:`metropolis_weights`
-fills and checks its matrix from that array. Every graph is built as such
+load-bus components of the bus-derived graph. Every graph is built as such
 an array from its source: :func:`cycle_graph`, :func:`path_graph` and
 :func:`complete_graph` (``np.triu_indices``) without a Python loop, so the
 499,500 edges of ``complete_graph(1000)`` take about 40 ms, not 340-530 ms
 (2-vCPU VM, numpy 2.4.6).
 
-A validated :class:`WeightMatrix` holds the matrix in one form, its row-major
-CSR arrays, which the simulator's consensus round reads, so a round costs
+A :class:`WeightMatrix` holds the matrix in one form, its row-major CSR
+arrays, which the simulator's consensus round reads, so a round costs
 O(nnz), not O(n**2); its ``entries`` property rebuilds the dense matrix from
-them on each read. The dense matrix given to :func:`validate_weight_matrix`
-lives only while it is checked and its ``sigma2`` is found. Validation takes
-each row and column sum as one ``math.fsum`` over that row's or column's
-stored entries, and :func:`metropolis_weights` each diagonal as one minus one
-``fsum`` over the node's incident edge weights, O(nnz) in all.
+them on each read. Building one checks that it is symmetric and that each
+row's ``math.fsum`` is one, so it is doubly stochastic, whoever built it.
+:func:`metropolis_weights` builds its CSR arrays straight from the edge
+array, each diagonal as one minus one ``fsum`` over the node's edge weights;
+the dense matrix exists only while its ``sigma2`` is found.
 
 The key spectral quantity is ``sigma2``, the second-largest singular value of
 ``A``: disagreement between nodes decays like ``sigma2**k``, and the bounds
-grow like ``1 / (1 - sigma2)``. For a bitwise symmetric ``A``, as both
-built-in weight matrices are, it comes from one symmetric eigensolve plus a
-stated margin, ``n * eps * max|lambda|``, so it is an estimate that errs on
-the safe side (too large). That takes 4.5 ms instead of the SVD's 10.4 ms on
-a 300-node cycle, and 62 ms instead of 245 ms at n = 1000 (2-vCPU VM, numpy
-2.4.6). Any other ``A`` gets the exact value from a dense SVD. See
+grow like ``1 / (1 - sigma2)``. For a symmetric ``A`` it comes from one
+symmetric eigensolve plus a stated margin, ``n * eps * max|lambda|``, so it
+is an estimate that errs on the safe side (too large). That takes 4.5 ms
+instead of a dense SVD's 10.4 ms on a 300-node cycle, and 62 ms instead of
+245 ms at n = 1000 (2-vCPU VM, numpy 2.4.6). See
 :func:`second_largest_singular_value`.
 """
 
@@ -39,15 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ColSumViolation,
-    DisconnectedGraph,
-    RowSumViolation,
-    SparsityMismatch,
-    ZeroDiagonal,
-)
+from .errors import DisconnectedGraph
 
-# Absolute tolerance on each row/column sum of a doubly stochastic matrix.
+# Absolute tolerance on each row sum of a weight matrix.
 STOCHASTIC_TOL = 1e-9
 
 
@@ -207,7 +199,7 @@ def parse_edge_list(text, n):
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Validated doubly stochastic consensus matrix, in CSR form, with its spectral gap.
+    """Symmetric doubly stochastic consensus matrix, in CSR form, with its spectral gap.
 
     Attributes
     ----------
@@ -215,22 +207,25 @@ class WeightMatrix:
         Dimension.
     sigma2 : float
         Second-largest singular value, in ``[0, 1)`` for connected graphs,
-        from :func:`second_largest_singular_value`: exact for a non-symmetric
-        matrix, and a safe-side estimate, at most ``n * eps * max|lambda|``
-        above the exact value plus the solver's error, for a symmetric one.
+        from :func:`second_largest_singular_value`: a safe-side estimate, at
+        most ``n * eps * max|lambda|`` above the exact value plus the
+        solver's error.
     indptr, indices, data : ndarray
         The nonzero entries and the whole diagonal, row by row; read-only.
         Row ``i`` is ``data[indptr[i]:indptr[i+1]]`` in the columns
         ``indices[indptr[i]:indptr[i+1]]``, in increasing order, so no row is
         empty.
 
-    Building one, directly or through ``dataclasses.replace``, checks the
-    form in O(nnz) array operations and raises ``ValueError`` for a
-    ``sigma2`` outside ``[0, 1)``, arrays of the wrong lengths, an
-    ``indptr`` that does not rise from 0 to ``nnz``, column indices out of
-    range or not increasing within a row, a row without its stored diagonal,
-    or non-finite ``data``. The row and column sums are
-    :func:`validate_weight_matrix`'s to check.
+    Building one, directly or through ``dataclasses.replace``, checks it with
+    O(nnz) array operations, one ``math.fsum`` per row and one sort, and
+    raises ``ValueError`` for a ``sigma2`` outside ``[0, 1)``, arrays of the
+    wrong lengths, an ``indptr`` that does not rise from 0 to ``nnz``,
+    column indices out of range or not increasing within a row, a row
+    without its stored diagonal, non-finite ``data``, a row whose ``fsum``
+    overflows or is off one by more than :data:`STOCHASTIC_TOL` (the first
+    such row, with its sum), or entries that are not exactly symmetric in
+    pattern and value (the first asymmetric entry in row-major order). So
+    its columns sum to one as its rows do, which is what the bounds assume.
     """
 
     n: int
@@ -255,25 +250,54 @@ class WeightMatrix:
         if not (indices.min(initial=0) >= 0 and indices.max(initial=0) < n):
             raise ValueError(f"column indices must lie in [0, {n})")
         rows = np.repeat(np.arange(n), row_sizes)
-        if not (np.diff(rows * n + indices) > 0).all():  # row-major positions rise
+        position = rows * n + indices
+        if not (np.diff(position) > 0).all():  # row-major positions rise
             raise ValueError("column indices must increase within each row")
         if np.count_nonzero(indices == rows) != n:
             raise ValueError("every row must store its diagonal entry")
         if not np.isfinite(data).all():
             raise ValueError("CSR data must be finite")
+        try:
+            sums = _row_fsums(indptr, data)
+        except OverflowError:  # a partial sum of finite entries beyond the float range
+            raise ValueError("CSR data must sum within the float range in every row") from None
+        for i, total in enumerate(sums):
+            if abs(total - 1.0) > STOCHASTIC_TOL:
+                raise ValueError(f"row {i} sums to {total!r}, expected 1")
+        # sorted, the transposed positions of a symmetric pattern are its positions
+        transposed = indices.astype(np.int64) * n + rows  # int32 indices would wrap past n = 46340
+        by_transpose = np.argsort(transposed, kind="stable")  # rows are rising runs
+        mirror = transposed[by_transpose]
+        bad = (mirror != position) | (data[by_transpose] != data)
+        if bad.any():
+            k = int(np.argmax(bad))
+            first = min(position[k], mirror[k])
+            i, j = divmod(int(first), n)
+            here = repr(float(data[k])) if position[k] == first else "not stored"
+            there = repr(float(data[by_transpose[k]])) if mirror[k] == first else "not stored"
+            raise ValueError(f"weights must be symmetric: entry ({i},{j}) is {here} but ({j},{i}) is {there}")
         for array in (indptr, indices, data):
             array.setflags(write=False)
 
     @property
     def entries(self):
-        """The dense ``n x n`` matrix, rebuilt from the CSR arrays on each read; read-only.
-
-        An entry that is not stored reads 0.0, even where the validated matrix held -0.0.
-        """
-        a = np.zeros((self.n, self.n))
-        a[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices] = self.data
+        """The dense ``n x n`` matrix, rebuilt from the CSR arrays on each read; read-only."""
+        a = _dense(self.n, self.indptr, self.indices, self.data)
         a.setflags(write=False)
         return a
+
+
+def _row_fsums(indptr, data):
+    """One ``math.fsum`` per CSR row, as a list."""
+    values, bounds = data.tolist(), indptr.tolist()
+    return [math.fsum(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _dense(n, indptr, indices, data):
+    """The dense ``n x n`` matrix of CSR arrays; an entry that is not stored reads 0.0."""
+    a = np.zeros((n, n))
+    a[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
+    return a
 
 
 def _require_weight_matrix(A):
@@ -290,115 +314,50 @@ def _offsets(labels, n):
 
 
 def metropolis_weights(g):
-    """Metropolis weight matrix of a connected graph.
+    """Metropolis weight matrix of a connected graph, built straight in CSR form.
 
-    Edge weights are ``1 / (1 + max(deg_i, deg_j))`` and the diagonal absorbs
-    the remainder, which yields a symmetric doubly stochastic matrix with a
-    strictly positive diagonal using only local degree information.
-    :func:`validate_weight_matrix` rejects a graph that is not connected.
-    """
-    deg = g.degrees()
-    i, j = g.edges.T
-    w = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
-    a = np.zeros((g.n, g.n))
-    a[i, j] = a[j, i] = w
-    # each node's incident edge weights, grouped by node: fsum is exact, so
-    # this is the fsum of the node's row with its zeros
-    ends = g.edges.T.ravel()
-    incident = np.concatenate((w, w))[np.argsort(ends, kind="stable")].tolist()
-    bounds = _offsets(ends, g.n).tolist()
-    a[np.diag_indices(g.n)] = [1.0 - math.fsum(incident[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    return validate_weight_matrix(a, g)
-
-
-def validate_weight_matrix(entries, g):
-    """Validate a raw matrix against a graph and wrap it as a WeightMatrix.
-
-    A graph that is not connected, whose ``sigma2`` is 1, raises
-    :class:`DisconnectedGraph` first. Then checks row/column sums to
-    :data:`STOCHASTIC_TOL`, a strictly positive diagonal, and that
-    off-diagonal entries are positive exactly on the edge set, in that order;
-    the first row, column or entry that fails, in row-major order, raises.
-    Accepts any user-supplied matrix, not only Metropolis ones.
-
-    Each sum is one ``math.fsum`` over the stored entries of a row or column,
-    which the result keeps as its CSR arrays: the zeros they skip change
-    neither the sum nor the verdict. The total a violation reports is the
-    fsum of the dense row or column, which keeps the sign of an all-zero one.
-    The column sums of a symmetric matrix (``a == a.T``, as Metropolis
-    weights are) are its row sums, since ``fsum`` is exact, so they are not
-    taken again.
+    Edge weights are ``1 / (1 + max(deg_i, deg_j))`` and each diagonal is one
+    minus one ``math.fsum`` of its node's edge weights, which yields a
+    symmetric doubly stochastic matrix with the graph's pattern and a
+    strictly positive diagonal using only local degree information (Xiao and
+    Boyd, "Fast linear iterations for distributed averaging", 2004). The
+    stored entries are both directions of each edge plus the diagonal, in
+    row-major order. A graph that is not connected, whose ``sigma2`` is 1,
+    raises :class:`DisconnectedGraph`. The dense matrix is built only to
+    find ``sigma2``.
     """
     if not g.connected:
         raise DisconnectedGraph("metropolis weights require a connected graph")
-    a = np.asarray(entries, dtype=float)
-    if a.shape != (g.n, g.n):
-        raise ValueError(f"matrix shape {a.shape} does not match graph with n={g.n}")
-    stored = a != 0.0
-    np.fill_diagonal(stored, True)
-    rows, indices = np.nonzero(stored)
-    indptr, data = _offsets(rows, g.n), a[rows, indices]
-    i = _first_off_one(indptr, data)
-    if i is not None:
-        raise RowSumViolation(i, math.fsum(a[i, :].tolist()))
-    # a symmetric matrix's columns are its rows, whose exact sums just passed
-    if not np.array_equal(a, a.T):
-        by_column = np.argsort(indices, kind="stable")  # row order within each column
-        j = _first_off_one(_offsets(indices, g.n), data[by_column])
-        if j is not None:
-            raise ColSumViolation(j, math.fsum(a[:, j].tolist()))
-    bad_diag = ~(np.diag(a) > 0.0)
-    if bad_diag.any():
-        i = int(np.argmax(bad_diag))
-        raise ZeroDiagonal(i, a[i, i])
-    i, j = g.edges.T
-    adj = np.zeros((g.n, g.n), dtype=bool)
-    adj[i, j] = adj[j, i] = True
-    off_edge = ~adj
-    np.fill_diagonal(off_edge, False)
-    bad = (adj & ~(a > 0.0)) | (off_edge & (a != 0.0))
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), g.n)  # first violation in row-major order
-        raise SparsityMismatch(i, j, a[i, j], bool(adj[i, j]))
-    return WeightMatrix(g.n, second_largest_singular_value(a), indptr, indices, data)
-
-
-def _first_off_one(offsets, values):
-    """Index of the first segment ``values[offsets[i]:offsets[i+1]]`` whose
-    ``math.fsum`` is off one by more than :data:`STOCHASTIC_TOL`, or None.
-
-    Segments are summed in order up to the first one off one, so an error
-    ``fsum`` raises (``inf + -inf``, overflow) comes from an earlier segment.
-    """
-    values = values.tolist()
-    bounds = offsets.tolist()
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if abs(math.fsum(values[lo:hi]) - 1.0) > STOCHASTIC_TOL:
-            return i
-    return None
+    n, deg, (i, j) = g.n, g.degrees(), g.edges.T
+    w = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
+    rows, cols = np.concatenate((i, j, np.arange(n))), np.concatenate((j, i, np.arange(n)))
+    order = np.argsort(rows * n + cols, kind="stable")  # three runs of rising keys, the middle one in pieces
+    indptr, indices, data = _offsets(rows, n), cols[order], np.concatenate((w, w, np.zeros(n)))[order]
+    # row i's diagonal follows its neighbours below i; it still holds 0.0,
+    # which leaves the row's fsum as it is
+    data[indptr[:-1] + np.bincount(j, minlength=n)] = [1.0 - total for total in _row_fsums(indptr, data)]
+    sigma2 = second_largest_singular_value(_dense(n, indptr, indices, data))
+    return WeightMatrix(n, sigma2, indptr, indices, data)
 
 
 def second_largest_singular_value(a):
-    """Second-largest singular value of a square matrix, or a safe-side
-    estimate of it.
+    """Second-largest singular value of a symmetric matrix, as a safe-side estimate.
 
-    A bitwise-symmetric matrix (``a == a.T``, as both built-in weight
-    matrices are) has the absolute values of its eigenvalues as singular
-    values. Its value is the second-largest ``|lambda|`` from one
+    A symmetric matrix has the absolute values of its eigenvalues as
+    singular values. The value is the second-largest ``|lambda|`` from one
     ``np.linalg.eigvalsh`` plus the margin ``n * eps * max|lambda|``. That is
     LAPACK's error bound for symmetric eigenvalues, ``p(n) * eps * ||A||_2``
     (LAPACK Users' Guide, section 4.7.1), with ``p(n) = n``, so the value errs
     on the safe side (too large). On Metropolis cycles and paths of 54 to
     1000 nodes the margin was 100 to 10,000 times the solver's error, against
-    their closed-form spectra at 40 digits. Any other matrix gets the exact
-    value, by a full dense SVD.
+    their closed-form spectra at 40 digits. A matrix that is not exactly
+    symmetric (``a == a.T``) raises ``ValueError``.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if n < 2:
         raise ValueError("sigma2 needs a matrix of order >= 2")
-    if np.array_equal(a, a.T):
-        mags = np.sort(np.abs(np.linalg.eigvalsh(a)))
-        return float(mags[-2] + n * np.finfo(float).eps * mags[-1])
-    s = np.linalg.svd(a, compute_uv=False)
-    return float(s[1])
+    if not np.array_equal(a, a.T):
+        raise ValueError("sigma2 needs a symmetric matrix")
+    mags = np.sort(np.abs(np.linalg.eigvalsh(a)))
+    return float(mags[-2] + n * np.finfo(float).eps * mags[-1])

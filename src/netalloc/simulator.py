@@ -178,9 +178,6 @@ class RunTrace:
         """Signed primal residual ``sum_i (x_i(k) - b_i)`` per row."""
         return _by_row_blocks(lambda x: (x - self.b).sum(axis=1), self.x)
 
-    def mean_multipliers(self):
-        return self.lam.mean(axis=1)
-
     def spreads(self):
         """Multiplier disagreement ``max_i |lam_i(k) - mean(k)|`` per row."""
         return _spreads(self.lam)

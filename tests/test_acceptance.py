@@ -148,7 +148,7 @@ def test_criterion_3_consensus_error_bound(family):
         sched = trace.schedule
         sigma2 = inst.weights.sigma2
         C = global_subgradient_bound(inst.problems)
-        mean = trace.mean_multipliers()
+        mean = trace.lam.mean(axis=1)
         for k in range(501):
             bound = consensus_error_bound(k, sched, sigma2, 0.0, C, trace.n)
             observed = float(np.abs(trace.lam[k] - mean[k]).max())

@@ -1,4 +1,4 @@
-"""Graph topology, weight construction/validation, and spectral gap tests."""
+"""Graph topology, weight construction and form checks, and spectral gap tests."""
 
 import dataclasses
 import math
@@ -7,13 +7,9 @@ import numpy as np
 import pytest
 
 from netalloc import (
-    ColSumViolation,
     DisconnectedGraph,
     GraphTopology,
-    RowSumViolation,
-    SparsityMismatch,
     WeightMatrix,
-    ZeroDiagonal,
     bus_derived_graph,
     complete_graph,
     cycle_graph,
@@ -23,9 +19,8 @@ from netalloc import (
     second_largest_singular_value,
     synth_bus_lines,
     synth_ieee118_style,
-    validate_weight_matrix,
 )
-from netalloc.graphs import STOCHASTIC_TOL, component_labels
+from netalloc.graphs import component_labels
 from conftest import SUITE_SEED, random_connected_graph
 
 EPS = np.finfo(float).eps
@@ -145,6 +140,33 @@ class TestMetropolisWeights:
             assert np.abs(w.entries.sum(axis=0) - 1.0).max() <= 1e-12
             assert np.abs(w.entries.sum(axis=1) - 1.0).max() <= 1e-12
 
+    def test_disconnected_graph_raises_disconnected_graph(self):
+        g = GraphTopology(4, [(0, 1), (2, 3)])
+        with pytest.raises(DisconnectedGraph, match="^metropolis weights require a connected graph$"):
+            metropolis_weights(g)
+
+    def test_holds_no_dense_matrix(self):
+        w = metropolis_weights(cycle_graph(300))
+        arrays = [value for value in vars(w).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 3 and all(array.ndim == 1 for array in arrays)
+
+    def test_entries_are_a_read_only_view_of_the_metropolis_matrix(self):
+        rng = np.random.default_rng(SUITE_SEED + 19)  # private stream: the suite stream is unchanged
+        for g in (cycle_graph(7), path_graph(2), random_connected_graph(rng, 30)):
+            entries = metropolis_weights(g).entries
+            assert entries.tobytes() == reference_metropolis(g.n, g.edges.tolist()).tobytes()
+            assert not entries.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                entries[0, 0] = 1.0
+
+    def test_keeps_csr_arrays_of_entries(self, suite_rng):
+        w = metropolis_weights(random_connected_graph(suite_rng, 9))
+        rows, cols = np.nonzero(w.entries)
+        assert w.indptr.tolist() == [0, *np.cumsum(np.bincount(rows, minlength=9)).tolist()]
+        assert w.indices.tolist() == cols.tolist()
+        assert w.data.tobytes() == w.entries[rows, cols].tobytes()
+        assert not any(x.flags.writeable for x in (w.entries, w.indptr, w.indices, w.data))
+
 
 class TestWeightMatrixForm:
     """A ``WeightMatrix`` refuses malformed CSR arrays however it is built."""
@@ -173,6 +195,23 @@ class TestWeightMatrixForm:
             ("indices", np.array([0, 1, 3, 0, 1, 2, 1, 2, 3, 0, 1, 2]), "store its diagonal"),
             ("data", np.r_[np.nan, np.ones(11)], "must be finite"),
             ("data", np.r_[np.ones(11), -np.inf], "must be finite"),
+            ("data", np.r_[1 / 3 + 1e-6, np.full(11, 1 / 3)], r"^row 0 sums to 1\.000001, expected 1$"),
+            (
+                "indices",
+                np.array([0, 1, 2, 0, 1, 2, 1, 2, 3, 0, 2, 3]),
+                r"^weights must be symmetric: entry \(0,2\) is 0\.3333333333333333 but \(2,0\) is not stored$",
+            ),
+            (
+                "indices",
+                np.array([0, 2, 3, 0, 1, 2, 1, 2, 3, 0, 2, 3]),
+                r"^weights must be symmetric: entry \(0,1\) is not stored but \(1,0\) is 0\.3333333333333333$",
+            ),
+            (
+                "data",
+                np.r_[1 / 3, np.nextafter(1 / 3, 1.0), np.full(10, 1 / 3)],
+                r"^weights must be symmetric: entry \(0,1\) is 0\.33333333333333337 but \(1,0\) is 0\.3333333333333333$",
+            ),
+            ("data", np.r_[1e308, 1e308, np.ones(10)], "^CSR data must sum within the float range in every row$"),
         ],
     )
     def test_refuses_malformed_csr(self, field, value, message):
@@ -184,7 +223,7 @@ class TestWeightMatrixForm:
 
     def test_refuses_the_sigma2_of_a_disconnected_graph(self):
         # a doubly stochastic matrix of two components has sigma2 = 1 (its
-        # computed value a few ulps above); validate_weight_matrix rejects the
+        # computed value a few ulps above); metropolis_weights rejects the
         # graph before it gets there
         a = np.kron(np.eye(2), np.full((2, 2), 0.5))
         sigma2 = second_largest_singular_value(a)
@@ -197,229 +236,14 @@ class TestWeightMatrixForm:
         assert w.entries.tolist() == np.eye(5).tolist()
 
 
-class TestValidateWeightMatrix:
-    def setup_method(self):
-        self.edge = GraphTopology(2, [(0, 1)])
-
+class TestSigma2:
     def test_averaging_matrix(self):
-        w = validate_weight_matrix([[0.5, 0.5], [0.5, 0.5]], self.edge)
-        assert w.sigma2 == pytest.approx(0.0, abs=1e-12)
+        assert second_largest_singular_value([[0.5, 0.5], [0.5, 0.5]]) == pytest.approx(0.0, abs=1e-12)
 
     def test_lazy_matrix_sigma2(self):
         # eigenvalues 1 and 0.5 of the symmetric matrix
-        w = validate_weight_matrix([[0.75, 0.25], [0.25, 0.75]], self.edge)
-        assert w.sigma2 == pytest.approx(0.5, abs=1e-12)
+        assert second_largest_singular_value([[0.75, 0.25], [0.25, 0.75]]) == pytest.approx(0.5, abs=1e-12)
 
-    def test_disconnected_graph_raises_disconnected_graph(self):
-        # a valid doubly stochastic matrix of each component: the graph is
-        # what is wrong, and the error says so, as metropolis_weights' does
-        g = GraphTopology(4, [(0, 1), (2, 3)])
-        a = np.kron(np.eye(2), np.full((2, 2), 0.5))
-        with pytest.raises(DisconnectedGraph, match="^metropolis weights require a connected graph$"):
-            validate_weight_matrix(a, g)
-        with pytest.raises(DisconnectedGraph, match="^metropolis weights require a connected graph$"):
-            metropolis_weights(g)
-
-    def test_identity_is_sparsity_mismatch(self):
-        with pytest.raises(SparsityMismatch) as err:
-            validate_weight_matrix([[1.0, 0.0], [0.0, 1.0]], self.edge)
-        assert err.value.is_edge
-
-    def test_row_sum_violation_names_index(self):
-        g = path_graph(3)
-        a = metropolis_weights(g).entries.copy()
-        a[1, 1] += 1e-6
-        with pytest.raises(RowSumViolation) as err:
-            validate_weight_matrix(a, g)
-        assert err.value.index == 1
-
-    def test_col_sum_violation(self):
-        # rows sum to one, column 0 does not
-        a = np.array([[0.6, 0.4], [0.5, 0.5]])
-        with pytest.raises(ColSumViolation) as err:
-            validate_weight_matrix(a, self.edge)
-        assert err.value.index == 0
-
-    def test_zero_diagonal(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(ZeroDiagonal):
-            validate_weight_matrix(a, self.edge)
-
-    def test_nonzero_off_edge(self):
-        g = path_graph(3)
-        a = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
-        with pytest.raises(SparsityMismatch) as err:
-            validate_weight_matrix(a, g)
-        assert not err.value.is_edge
-
-    def test_reports_first_violation_in_row_major_order(self):
-        # doubly stochastic with a positive diagonal; (0,1) is an edge left at
-        # zero and (0,2) a non-edge set positive, so (0,1) comes first
-        g = path_graph(3)
-        a = np.array([[0.6, 0.0, 0.4], [0.0, 0.5, 0.5], [0.4, 0.5, 0.1]])
-        with pytest.raises(SparsityMismatch) as err:
-            validate_weight_matrix(a, g)
-        assert err.value.args == SparsityMismatch(0, 1, a[0, 1], True).args
-        assert (err.value.i, err.value.j, err.value.is_edge) == (0, 1, True)
-
-    def test_accepts_user_supplied(self):
-        g = path_graph(3)
-        a = np.array([[0.8, 0.2, 0.0], [0.2, 0.6, 0.2], [0.0, 0.2, 0.8]])
-        w = validate_weight_matrix(a, g)
-        assert 0.0 < w.sigma2 < 1.0
-
-    def test_holds_no_dense_matrix(self):
-        w = metropolis_weights(cycle_graph(300))
-        arrays = [value for value in vars(w).values() if isinstance(value, np.ndarray)]
-        assert len(arrays) == 3 and all(array.ndim == 1 for array in arrays)
-
-    def test_entries_are_a_read_only_view_of_the_metropolis_matrix(self):
-        rng = np.random.default_rng(SUITE_SEED + 19)  # private stream: the suite stream is unchanged
-        for g in (cycle_graph(7), path_graph(2), random_connected_graph(rng, 30)):
-            entries = metropolis_weights(g).entries
-            assert entries.tobytes() == reference_metropolis(g.n, g.edges.tolist()).tobytes()
-            assert not entries.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                entries[0, 0] = 1.0
-
-    def test_keeps_csr_arrays_of_entries(self, suite_rng):
-        w = metropolis_weights(random_connected_graph(suite_rng, 9))
-        rows, cols = np.nonzero(w.entries)
-        assert w.indptr.tolist() == [0, *np.cumsum(np.bincount(rows, minlength=9)).tolist()]
-        assert w.indices.tolist() == cols.tolist()
-        assert w.data.tobytes() == w.entries[rows, cols].tobytes()
-        assert not any(x.flags.writeable for x in (w.entries, w.indptr, w.indices, w.data))
-
-    @pytest.mark.parametrize("zeros", [[-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]])
-    def test_rows_before_columns_and_a_zero_total_keeps_its_sign(self, zeros):
-        # column 0 is off first in column order, but row 1 comes first; its
-        # total is the fsum of the dense row (whose sign of zero depends on
-        # the Python version), not of its stored diagonal alone
-        g = path_graph(3)
-        a = np.array([[0.7, 0.3, 0.0], zeros, [0.0, 0.7, 0.3]])
-        with pytest.raises(RowSumViolation) as err:
-            validate_weight_matrix(a, g)
-        total = math.fsum(zeros)
-        assert err.value.args == RowSumViolation(1, total).args
-        assert str(err.value) == f"row 1 sums to {total!r}, expected 1"
-
-    def test_violating_row_comes_before_a_row_fsum_cannot_add(self):
-        # row 2's fsum raises (inf + -inf); row 0, earlier, is reported
-        g = complete_graph(3)
-        a = np.array([[0.5, 0.2, 0.2], [0.3, 0.4, 0.3], [np.inf, -np.inf, 0.5]])
-        with pytest.raises(RowSumViolation) as err:
-            validate_weight_matrix(a, g)
-        assert err.value.index == 0
-        a[0, 0] = 0.6
-        with pytest.raises(ValueError, match="inf"):
-            validate_weight_matrix(a, g)
-
-    def test_first_violation_matches_dense_loops(self, suite_rng):
-        # random faults in Metropolis matrices: the CSR sums report the same
-        # first violation, with the same arguments, as one fsum per dense row
-        # and column did
-        rng = np.random.default_rng(SUITE_SEED + 11)  # private stream: the suite stream is unchanged
-        for _ in range(300):
-            n = int(rng.integers(2, 9))
-            g = random_connected_graph(rng, n)
-            a = metropolis_weights(g).entries.copy()
-            for _ in range(int(rng.integers(1, 4))):
-                i, j, k = rng.integers(0, n, 3)
-                kind = int(rng.integers(0, 6))
-                if kind == 0:
-                    a[i, j] += float(rng.choice([1e-6, -1e-6, 1e-12]))
-                elif kind == 1:
-                    a[i, :] = -0.0
-                elif kind == 2:
-                    a[:, j] = -0.0
-                elif kind == 3:
-                    a[i, j], a[i, k] = np.inf, -np.inf
-                elif kind == 4:
-                    a[i, j] = np.nan
-                else:  # move mass within a row: the row sum holds, columns break
-                    d = float(rng.uniform(0.0, 0.1))
-                    a[i, j] -= d
-                    a[i, k] += d
-            assert outcome(validate_weight_matrix, a, g) == outcome(reference_validate, a, g)
-
-    def test_symmetric_faults_match_dense_loops(self):
-        # faults placed symmetrically keep a == a.T, where the column sums
-        # are not taken again: the first violation and its arguments must
-        # still be those of one fsum per dense row and column
-        rng = np.random.default_rng(SUITE_SEED + 17)  # private stream
-        seen = {}
-        symmetric = 0
-        for _ in range(400):
-            n = int(rng.integers(2, 9))
-            g = random_connected_graph(rng, n)
-            a = metropolis_weights(g).entries.copy()
-            for _ in range(int(rng.integers(1, 3))):
-                i, j, k = (int(v) for v in rng.integers(0, n, 3))
-                kind = int(rng.integers(0, 6))
-                if kind == 0:
-                    a[i, j] = a[j, i] = a[i, j] + float(rng.choice([1e-6, -1e-6, 1e-12]))
-                elif kind == 1:
-                    a[i, :] = a[:, i] = -0.0
-                elif kind == 2:
-                    a[i, j] = a[j, i] = np.inf
-                    a[i, k] = a[k, i] = -np.inf
-                elif kind == 3:
-                    a[i, j] = a[j, i] = np.nan
-                elif kind == 4 and i != j:  # drop an entry, keeping rows i and j
-                    a[i, i] += a[i, j]
-                    a[j, j] += a[j, i]
-                    a[i, j] = a[j, i] = 0.0
-                elif kind == 5 and i != j:  # node i's diagonal moves onto the pair (i, j)
-                    d = a[i, i]
-                    a[i, j] = a[j, i] = a[i, j] + d
-                    a[i, i] = 0.0
-                    a[j, j] -= d
-            symmetric += np.array_equal(a, a.T)
-            expected = outcome(reference_validate, a, g)
-            assert outcome(validate_weight_matrix, a, g) == expected
-            kind = expected if expected == "ok" else expected[0]
-            seen[kind] = seen.get(kind, 0) + 1
-        assert symmetric >= 300
-        assert set(seen) >= {"RowSumViolation", "ValueError", "ZeroDiagonal", "SparsityMismatch", "ok"}, seen
-
-
-def reference_validate(a, g):
-    """The dense-loop validation ``validate_weight_matrix`` ran before its CSR
-    arrays, up to its first error, or None."""
-    for i in range(g.n):
-        total = math.fsum(a[i, :].tolist())
-        if abs(total - 1.0) > STOCHASTIC_TOL:
-            raise RowSumViolation(i, total)
-    for j in range(g.n):
-        total = math.fsum(a[:, j].tolist())
-        if abs(total - 1.0) > STOCHASTIC_TOL:
-            raise ColSumViolation(j, total)
-    bad_diag = ~(np.diag(a) > 0.0)
-    if bad_diag.any():
-        i = int(np.argmax(bad_diag))
-        raise ZeroDiagonal(i, a[i, i])
-    i, j = g.edges.T
-    adj = np.zeros((g.n, g.n), dtype=bool)
-    adj[i, j] = adj[j, i] = True
-    off_edge = ~adj
-    np.fill_diagonal(off_edge, False)
-    bad = (adj & ~(a > 0.0)) | (off_edge & (a != 0.0))
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), g.n)
-        raise SparsityMismatch(i, j, a[i, j], bool(adj[i, j]))
-    return None
-
-
-def outcome(validate, a, g):
-    """The type, message and argument reprs of what ``validate(a, g)`` raises, or "ok"."""
-    try:
-        validate(a, g)
-    except (ValueError, OverflowError, RowSumViolation, ColSumViolation, ZeroDiagonal, SparsityMismatch) as exc:
-        return type(exc).__name__, str(exc), repr(exc.args)
-    return "ok"
-
-
-class TestSigma2:
     def test_complete3_is_zero(self):
         w = metropolis_weights(complete_graph(3))
         assert w.sigma2 == pytest.approx(0.0, abs=1e-12)
@@ -479,19 +303,16 @@ class TestSigma2:
         assert 0.5 <= second_largest_singular_value(a) <= 0.5 + (2 + 4) * EPS
 
     @pytest.mark.parametrize("shape", ["circulant", "one-ulp asymmetry"])
-    def test_non_symmetric_matrix_keeps_the_svd_bits(self, shape):
+    def test_refuses_a_non_symmetric_matrix(self, shape):
         n = 12
-        g = cycle_graph(n)
         if shape == "circulant":
             # 0.5 on the diagonal, 0.3 to the next node and 0.2 to the previous one
             a = 0.5 * np.eye(n) + 0.3 * np.roll(np.eye(n), 1, axis=1) + 0.2 * np.roll(np.eye(n), -1, axis=1)
         else:
-            a = metropolis_weights(g).entries.copy()
+            a = metropolis_weights(cycle_graph(n)).entries.copy()
             a[0, 1] = np.nextafter(a[0, 1], 1.0)
-        assert not np.array_equal(a, a.T)
-        expected = np.linalg.svd(a, compute_uv=False)[1]
-        assert second_largest_singular_value(a) == expected
-        assert validate_weight_matrix(a, g).sigma2 == expected
+        with pytest.raises(ValueError, match="^sigma2 needs a symmetric matrix$"):
+            second_largest_singular_value(a)
 
     @pytest.mark.parametrize("workload", ["dispatch54", "cycle300"])
     def test_repeatable_on_benchmark_graphs(self, workload):
@@ -653,7 +474,10 @@ class TestEdgeArraysMatchReferences:
                 assert entries.tobytes() == reference_metropolis(n, expected).tobytes()
                 # a valid weight matrix that is not a Metropolis one
                 lazy = reference_max_degree(n, expected)
-                assert validate_weight_matrix(lazy, g).entries.tobytes() == lazy.tobytes()
+                rows, cols = np.nonzero(lazy)  # its diagonal is at least 1/2
+                indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+                w = WeightMatrix(n, second_largest_singular_value(lazy), indptr, cols, lazy[rows, cols])
+                assert w.entries.tobytes() == lazy.tobytes()
             else:
                 outcomes["disconnected"] += 1
         assert min(outcomes.values()) >= 100, outcomes

@@ -201,7 +201,7 @@ class TestRunDlm:
         w = metropolis_weights(random_connected_graph(suite_rng, 6))
         sched = RecipSqrt()
         trace = run_dlm(problems, w, sched, 100)
-        means = trace.mean_multipliers()
+        means = trace.lam.mean(axis=1)
         residuals = trace.residuals()
         for k in range(100):
             predicted = means[k] + sched.alpha(k) * residuals[k + 1] / trace.n
@@ -231,7 +231,7 @@ class TestRunDlm:
         w = metropolis_weights(random_connected_graph(suite_rng, 5))
         sol = solve_centralized(problems, total)
         trace = run_dlm(problems, w, Recip(), 10_000)
-        assert trace.mean_multipliers()[-1] == pytest.approx(sol.lam_star, abs=1e-2)
+        assert trace.lam.mean(axis=1)[-1] == pytest.approx(sol.lam_star, abs=1e-2)
         assert trace.spreads()[-1] <= 1e-2
         L = lagrangian_value(problems, trace.x[-1], trace.lam[-2])
         assert abs(L - sol.f_star) <= 1e-2 * (1 + abs(sol.f_star))
