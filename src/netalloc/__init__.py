@@ -31,7 +31,6 @@ from .cases import (
     to_problems,
 )
 from .errors import (
-    BracketFailure,
     DisconnectedGraph,
     FeasibilityError,
     HypothesisViolation,

@@ -17,10 +17,6 @@ class InfeasibleTotal(NetallocError):
     """The total resource cannot be met by the nodes' intervals."""
 
 
-class BracketFailure(NetallocError):
-    """No sign change found while expanding the multiplier bracket."""
-
-
 class ParseError(NetallocError):
     """A text input is malformed; carries the offending line number."""
 

@@ -221,11 +221,11 @@ class WeightMatrix:
     raises ``ValueError`` for a ``sigma2`` outside ``[0, 1)``, arrays of the
     wrong lengths, an ``indptr`` that does not rise from 0 to ``nnz``,
     column indices out of range or not increasing within a row, a row
-    without its stored diagonal, non-finite ``data``, a row whose ``fsum``
-    overflows or is off one by more than :data:`STOCHASTIC_TOL` (the first
-    such row, with its sum), or entries that are not exactly symmetric in
-    pattern and value (the first asymmetric entry in row-major order). So
-    its columns sum to one as its rows do, which is what the bounds assume.
+    without its stored diagonal, ``data`` outside ``[0, 1]``, a row whose
+    ``fsum`` is off one by more than :data:`STOCHASTIC_TOL` (the first such
+    row, with its sum), or entries that are not exactly symmetric in pattern
+    and value (the first asymmetric entry in row-major order). So its columns
+    sum to one as its rows do, which is what the bounds assume.
     """
 
     n: int
@@ -255,13 +255,9 @@ class WeightMatrix:
             raise ValueError("column indices must increase within each row")
         if np.count_nonzero(indices == rows) != n:
             raise ValueError("every row must store its diagonal entry")
-        if not np.isfinite(data).all():
-            raise ValueError("CSR data must be finite")
-        try:
-            sums = _row_fsums(indptr, data)
-        except OverflowError:  # a partial sum of finite entries beyond the float range
-            raise ValueError("CSR data must sum within the float range in every row") from None
-        for i, total in enumerate(sums):
+        if not ((data >= 0.0) & (data <= 1.0)).all():  # NaN fails too
+            raise ValueError("CSR data must lie in [0, 1]")
+        for i, total in enumerate(_row_fsums(indptr, data)):
             if abs(total - 1.0) > STOCHASTIC_TOL:
                 raise ValueError(f"row {i} sums to {total!r}, expected 1")
         # sorted, the transposed positions of a symmetric pattern are its positions

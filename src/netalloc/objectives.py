@@ -45,7 +45,8 @@ class FeasibleInterval:
         return 0.5 * (self.lo + self.hi)
 
     def clamp(self, x):
-        return min(max(x, self.lo), self.hi)
+        # at an exact tie, +0.0 against -0.0, max and min keep the interval end
+        return min(self.hi, max(self.lo, x))
 
 
 @dataclass(frozen=True)
@@ -100,17 +101,15 @@ class LocalProblem:
 
 
 class NodeCosts:
-    """Every node's cost and local primal step, as numpy expressions over
-    per-node coefficient arrays ``gamma, beta, mu, lo, hi``.
+    """Every node's cost and local primal step, as numpy expressions over the
+    per-node coefficient arrays ``gamma, beta, mu, lo, hi`` (attributes).
 
     The expressions perform, element by element, the same IEEE operations in
     the same order as :meth:`Quadratic.value` and
     :meth:`Quadratic.shifted_argmin`, so they give the per-node results'
-    bits, the sign of a zero included, save one case: where the clamp meets
-    an interval end that is a zero of the other sign, numpy's ``maximum`` and
-    ``minimum`` may keep either zero and Python's ``max`` and ``min`` keep the
-    first. A caller that sums them with one ``math.fsum``, which is exact
-    whatever the order, gets the per-node sum's bits too.
+    bits, the sign of a zero included. A caller that sums them with one
+    ``math.fsum``, which is exact whatever the order, gets the per-node sum's
+    bits too.
     """
 
     def __init__(self, problems):
@@ -118,15 +117,15 @@ class NodeCosts:
             (p.cost.gamma, p.cost.beta, p.cost.mu, p.interval.lo, p.interval.hi) for p in problems
         ]
         columns = np.array(coefficients, dtype=float).reshape(-1, 5).T
-        self._gamma, self._beta, self._mu, self._lo, self._hi = np.ascontiguousarray(columns)
+        self.gamma, self.beta, self.mu, self.lo, self.hi = np.ascontiguousarray(columns)
         # flat (linear) nodes divide by 1.0, then take an end of their interval
-        flat = self._gamma == 0.0
+        flat = self.gamma == 0.0
         self._flat = np.flatnonzero(flat)
-        self._twice_gamma = np.where(flat, 1.0, 2.0 * self._gamma)
+        self._twice_gamma = np.where(flat, 1.0, 2.0 * self.gamma)
 
     def value(self, x):
         """``f_i(x_i)`` for an ``x`` whose last axis runs over the nodes."""
-        return self._gamma * x * x + self._beta * x + self._mu
+        return self.gamma * x * x + self.beta * x + self.mu
 
     def argmin(self, v, out=None):
         """Every node's :func:`primal_argmin`, written into ``out`` when given.
@@ -136,17 +135,17 @@ class NodeCosts:
         shared multipliers, one per row of the ``(B, n)`` result.
         """
         if out is None:
-            out = np.empty(np.broadcast_shapes(np.shape(v), self._beta.shape))
+            out = np.empty(np.broadcast_shapes(np.shape(v), self.beta.shape))
         # clamp(-(beta + v) / (2 gamma), lo, hi), one operation at a time
-        np.add(self._beta, v, out=out)
+        np.add(self.beta, v, out=out)
         np.negative(out, out=out)
         np.divide(out, self._twice_gamma, out=out)
-        np.maximum(out, self._lo, out=out)
-        np.minimum(out, self._hi, out=out)
+        np.maximum(out, self.lo, out=out)
+        np.minimum(out, self.hi, out=out)
         if self._flat.size:
             f = self._flat
-            slope = self._beta[f] + np.broadcast_to(v, out.shape)[..., f]
-            out[..., f] = np.where(slope < 0.0, self._hi[f], self._lo[f])
+            slope = self.beta[f] + np.broadcast_to(v, out.shape)[..., f]
+            out[..., f] = np.where(slope < 0.0, self.hi[f], self.lo[f])
         return out
 
 

@@ -1,12 +1,10 @@
 """Centralized ground-truth solver for the coupled allocation problem.
 
 Solves ``min sum_i f_i(x_i)`` subject to ``sum_i x_i = b`` and box constraints
-by bisection on the shared multiplier: the aggregate response
-``g(lam) = sum_i argmin_x { f_i(x) + lam*x }`` is nonincreasing in ``lam``, so
-the saddle-point multiplier is the root of ``g(lam) = b``. This exploits the
-separable one-dimensional structure and evaluates ``g`` through the same
-:class:`~netalloc.objectives.NodeCosts` argmin as the distributed method's
-primal step.
+through the shared multiplier: the aggregate response ``g(lam)``, one
+``math.fsum`` of every node's rounded argmin of ``f_i(x) + lam*x``, is
+nonincreasing bit for bit for quadratic costs, so bisection over the doubles
+finds the smallest ``lam`` with ``g(lam) <= b`` exactly, with no tolerance.
 """
 
 from __future__ import annotations
@@ -16,12 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, InfeasibleTotal
+from .errors import InfeasibleTotal
 from .objectives import NodeCosts, primal_argmin
-
-BALANCE_TOL = 1e-9
-MAX_BISECTIONS = 500
-MAX_BRACKET_DOUBLINGS = 200
 
 
 @dataclass(frozen=True)
@@ -37,21 +31,30 @@ class OracleSolution:
         self.x_star.setflags(write=False)
 
 
-def _initial_bracket_halfwidth(problems):
-    """Multiplier magnitude that saturates every node's box."""
-    m = 1.0
-    for p in problems:
-        reach = abs(p.cost.beta) + 2.0 * p.cost.gamma * max(abs(p.interval.lo), abs(p.interval.hi))
-        m = max(m, 1.0 + reach)
-    return m
+def _rank(x):
+    """The place of ``x`` in the order of the doubles; -0.0 and 0.0 share rank 0."""
+    bits = int(np.float64(x).view(np.int64))
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
 
 
-def solve_centralized(problems, b=None, tol=BALANCE_TOL):
+def _double(rank):
+    """The double of a :func:`_rank`; rank 0 gives 0.0."""
+    magnitude = float(np.int64(abs(rank)).view(np.float64))
+    return magnitude if rank >= 0 else -magnitude
+
+
+def solve_centralized(problems, b=None):
     """Solve the coupled problem; ``b`` defaults to the sum of the shares.
 
-    Returns an :class:`OracleSolution`. For costs with flat regions the
-    aggregate response can jump across ``b``; the bracket then collapses onto
-    the jump and the achieved ``|sum x - b|`` is reported in ``residual``.
+    ``lam_star`` is the smallest double in the bracket with ``g(lam) <= b``,
+    for ``g(lam) = math.fsum(NodeCosts(problems).argmin(lam))``. The bracket,
+    the extreme breakpoints ``min(-beta - 2*gamma*hi)`` and
+    ``max(-beta - 2*gamma*lo)`` each widened by one plus its magnitude, puts
+    every node at ``hi`` at its left end and at ``lo`` at its right end.
+    Bisection over the doubles' ranks ends at neighbours within 64 probes, so
+    ``g`` at the doubles next to ``lam_star`` brackets ``b``. Flat nodes
+    indifferent at ``lam_star`` (``gamma == 0``, ``beta + lam_star == 0``)
+    take up ``b - sum x`` in index order, each up to its ``hi``.
     """
     problems = tuple(problems)
     if not problems:
@@ -62,63 +65,30 @@ def solve_centralized(problems, b=None, tol=BALANCE_TOL):
     total_lo = math.fsum(p.interval.lo for p in problems)
     total_hi = math.fsum(p.interval.hi for p in problems)
     if not (total_lo <= b <= total_hi):
-        raise InfeasibleTotal(
-            f"total {b} outside achievable range [{total_lo}, {total_hi}]"
-        )
+        raise InfeasibleTotal(f"total {b} outside achievable range [{total_lo}, {total_hi}]")
 
-    # expanding bracket: g is nonincreasing, g(-inf) = sum hi, g(+inf) = sum lo
-    m = _initial_bracket_halfwidth(problems)
-    lam_lo, lam_hi = -m, m
-    sweep = []  # (lam, g) pairs, for the monotonicity assertion
     costs = NodeCosts(problems)
-
-    def g(lam):
-        val = math.fsum(costs.argmin(lam).tolist())
-        sweep.append((lam, val))
-        return val
-
-    for _ in range(MAX_BRACKET_DOUBLINGS):
-        if g(lam_lo) >= b:
-            break
-        lam_lo *= 2.0
-    else:
-        raise BracketFailure(f"no lower bracket for total {b} within |lam| <= {abs(lam_lo)}")
-    for _ in range(MAX_BRACKET_DOUBLINGS):
-        if g(lam_hi) <= b:
-            break
-        lam_hi *= 2.0
-    else:
-        raise BracketFailure(f"no upper bracket for total {b} within |lam| <= {lam_hi}")
-
-    lam = 0.5 * (lam_lo + lam_hi)
-    for _ in range(MAX_BISECTIONS):
-        lam = 0.5 * (lam_lo + lam_hi)
-        val = g(lam)
-        if abs(val - b) <= tol:
-            break
-        if val > b:
-            lam_lo = lam
+    first = float(np.min(-costs.beta - 2.0 * costs.gamma * costs.hi))
+    last = float(np.max(-costs.beta - 2.0 * costs.gamma * costs.lo))
+    # g(left) = sum hi >= b >= sum lo = g(right)
+    left, right = _rank(first - (1.0 + abs(first))), _rank(last + (1.0 + abs(last)))
+    while right - left > 1:
+        mid = (left + right) // 2
+        if math.fsum(costs.argmin(_double(mid)).tolist()) <= b:
+            right = mid
         else:
-            lam_hi = lam
-        if lam_hi - lam_lo <= 1e-16 * max(1.0, abs(lam_lo), abs(lam_hi)):
-            break  # bracket collapsed onto a jump of g (flat-cost plateau)
-
-    # each node's rounded argmin is nonincreasing in lam and fsum rounds the
-    # exact sum once, so g is nonincreasing bit for bit; the slack is a margin
-    # on top, and a breach means the argmin itself is wrong
-    total_width = math.fsum(p.interval.width for p in problems)
-    slack = 1e-9 + 1e-7 * total_width
-    ordered = sorted(sweep)
-    for (l1, g1), (l2, g2) in zip(ordered, ordered[1:]):
-        if l2 > l1 and g2 > g1 + slack:
-            raise AssertionError(
-                f"aggregate response not nonincreasing: g({l1})={g1}, g({l2})={g2}"
-            )
+            left = mid
+    lam = _double(right)
 
     x = costs.argmin(lam)
+    for j in np.flatnonzero((costs.gamma == 0.0) & (costs.beta + lam == 0.0)).tolist():
+        gap = math.fsum([b, *(-x).tolist()])
+        if gap <= 0.0:
+            break
+        x[j] = min(costs.hi[j], x[j] + gap)
     f = math.fsum(costs.value(x).tolist())
     residual = abs(math.fsum(x.tolist()) - b)
-    return OracleSolution(x_star=x, f_star=f, lam_star=float(lam), residual=residual)
+    return OracleSolution(x_star=x, f_star=f, lam_star=lam, residual=residual)
 
 
 def verify_kkt(problems, sol, b=None, tol=1e-8):

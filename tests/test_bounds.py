@@ -338,7 +338,7 @@ class TestVectorisedPaths:
         problems, _ = random_quadratic_instance(rng, n=9)
         problems = with_flat_nodes(problems, [3, 7])
         costs = NodeCosts(problems)
-        # interior multipliers, box-saturating ones and the bracket's powers of two
+        # interior multipliers, box-saturating ones and powers of two up to 2**56
         lams = [*rng.uniform(-10, 10, 50), *(s * 2.0**e for s in (-1, 1) for e in range(0, 60, 7))]
         for lam in map(float, lams):
             per_node = math.fsum(primal_argmin(p, lam) for p in problems)

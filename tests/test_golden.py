@@ -28,8 +28,8 @@ GOLDEN = {
     ("builtin:ieee14", "cycle"): {
         "trace.csv": "7c2f10e98494037cc38f04d9cd9f70e8ef98cfe11af2ef89ff472c3604639a4d",
         "summary.csv": "f46ce38d4f8d189f5be937155fb1d57b4e5b9636d9afc24fd763d2a611caee7a",
-        "oracle.csv": "ed3e044dab8678dc1ef4c6b4b829bf5f95fc15f4e7db96de53bb635a4ba519e1",
-        "bounds.csv": "4e683e14694aab04838397bccc7b9a023db74085ed842b4126574aae5f99ce5f",
+        "oracle.csv": "98127f46de85bddb45be976ca5a15017bf8fd47106b9b40ae7d96886ac906053",
+        "bounds.csv": "c4f6497d390b897372dd658a25b60134352c27b42301ae203a7f6f9a3abada06",
         "alloc.svg": "4c664b367f5d60bf79c07a622336f86d0d4de8465c094ef412024dd9ed1470ef",
         "multipliers.svg": "28d21e3c76d1960f1e0bf8cbf51c0cbc0c23da5b9b4790bc2ff97cbbc4cf89e8",
         "residual.svg": "323e4e33f80a0ffff5641c298da021c4646ce3aba2aea2ac015217117512d469",
@@ -37,8 +37,8 @@ GOLDEN = {
     ("ieee14-flat3.csv", "cycle"): {
         "trace.csv": "64da27049ed7d91d1be578383abd17ed914ccaadabea44e91bbc85e43bdb0de4",
         "summary.csv": "d387c151e488e9ee1c4306e3974def73dd420de96a21b66382b1efbea48f0d7f",
-        "oracle.csv": "2710ea123c8d7f397c803c223e657ac07bfb1ebac5172d95e7671a28f1e69f79",
-        "bounds.csv": "58eda72fe0ed181b26372a5758b742d1c95c13bc1cd04f9b7d6a97b4d363d279",
+        "oracle.csv": "6f4af972303edff79bfeda0a2ab0239dd70a0e280338f05100d2cd43dd446727",
+        "bounds.csv": "c84486982f22f209b51ec84a129f7430fb8d051cb0a6ba35e47b373d214be8ff",
         "alloc.svg": "ac27e6c828cb59db1dafbdd6448743d563f6aba2e968732e02e1c61c665a903e",
         "multipliers.svg": "c06567c842318e99e17632efcac164249b35e7b09a77dede6c3d8a72ff583036",
         "residual.svg": "a82617a4a80c73921ee9c1018671f0743955cb96af4e489fd249a3bc114043f5",
@@ -46,8 +46,8 @@ GOLDEN = {
     ("synth:7", "bus-derived"): {
         "trace.csv": "248f901ef974fe90e89729e2c8dbfa0b9d200d0b053651396767aea35e6a813e",
         "summary.csv": "30271d627d68277009a377a787dfab64cc5504044443da604fe06198b7454d99",
-        "oracle.csv": "ed7455e245c6f633fccf7af4fc8bdcfc8c7f9384fc4ed2523c0c4822ea84841b",
-        "bounds.csv": "a7fde70e1348a8915f05c16b6c7ba3450d119ca4ba4228f6347035da8136d4fc",
+        "oracle.csv": "ae42d18718b0e4e8ef230cc98a9dfe013d5dd9ad5a3fb9e8bc1b1ecde70a15c0",
+        "bounds.csv": "0136072ab2c4081dfc1f890f3644613d37abff5deb180fe6d4d20f4619e9110a",
         "alloc.svg": "245838ea5f8edf53d0f0f1d226f1ae049d86161aa89c9fe34b9124fe8a92ab53",
         "multipliers.svg": "a5b463d4c2382b6c203d0edd86826356ecf3eb08cd160d0a8d0bfbd6c3e67e6f",
         "residual.svg": "a47aeb98655c4896a56f90fc2c42123e8c2f96034dd81831e6f301caaa8e16e8",

@@ -193,8 +193,8 @@ class TestWeightMatrixForm:
             ("indices", np.array([1, 0, 3, 0, 1, 2, 1, 2, 3, 0, 2, 3]), "increase within each row"),
             ("indices", np.array([0, 1, 3, 0, 1, 1, 1, 2, 3, 0, 2, 3]), "increase within each row"),
             ("indices", np.array([0, 1, 3, 0, 1, 2, 1, 2, 3, 0, 1, 2]), "store its diagonal"),
-            ("data", np.r_[np.nan, np.ones(11)], "must be finite"),
-            ("data", np.r_[np.ones(11), -np.inf], "must be finite"),
+            ("data", np.r_[np.nan, np.ones(11)], r"^CSR data must lie in \[0, 1\]$"),
+            ("data", np.r_[np.ones(11), -np.inf], r"^CSR data must lie in \[0, 1\]$"),
             ("data", np.r_[1 / 3 + 1e-6, np.full(11, 1 / 3)], r"^row 0 sums to 1\.000001, expected 1$"),
             (
                 "indices",
@@ -211,15 +211,29 @@ class TestWeightMatrixForm:
                 np.r_[1 / 3, np.nextafter(1 / 3, 1.0), np.full(10, 1 / 3)],
                 r"^weights must be symmetric: entry \(0,1\) is 0\.33333333333333337 but \(1,0\) is 0\.3333333333333333$",
             ),
-            ("data", np.r_[1e308, 1e308, np.ones(10)], "^CSR data must sum within the float range in every row$"),
+            ("data", np.r_[1e308, 1e308, np.ones(10)], r"^CSR data must lie in \[0, 1\]$"),
+            # a whole matrix: [[1.5, -0.5], [-0.5, 1.5]] is symmetric and its rows
+            # sum to one, but its eigenvalues are 1 and 2
+            (
+                None,
+                dict(
+                    n=2,
+                    sigma2=0.5,
+                    indptr=np.array([0, 2, 4]),
+                    indices=np.array([0, 1, 0, 1]),
+                    data=np.array([1.5, -0.5, -0.5, 1.5]),
+                ),
+                r"^CSR data must lie in \[0, 1\]$",
+            ),
         ],
     )
     def test_refuses_malformed_csr(self, field, value, message):
         w = metropolis_weights(cycle_graph(4))  # rows [0 1 3] [0 1 2] [1 2 3] [0 2 3]
+        fields = value if field is None else {field: value}
         with pytest.raises(ValueError, match=message):
-            dataclasses.replace(w, **{field: value})
+            dataclasses.replace(w, **fields)
         with pytest.raises(ValueError, match=message):
-            WeightMatrix(**{**vars(w), field: value})
+            WeightMatrix(**{**vars(w), **fields})
 
     def test_refuses_the_sigma2_of_a_disconnected_graph(self):
         # a doubly stochastic matrix of two components has sigma2 = 1 (its

@@ -13,6 +13,7 @@ from netalloc import (
     primal_argmin,
     subgradient_bound,
 )
+from netalloc.objectives import NodeCosts
 
 
 def grid_argmin(fn, lo, hi, points=200_001):
@@ -71,6 +72,16 @@ class TestPrimalArgmin:
         p = LocalProblem(Quadratic(0.0, 2.0), FeasibleInterval(-1.0, 3.0), 0.0)
         assert primal_argmin(p, 1.0) == -1.0
         assert primal_argmin(p, -5.0) == 3.0
+
+    # -(2 - 2) / 2 is -0.0 and -(-0.0 + -0.0) / 2 is 0.0; each meets an interval end of the other sign
+    @pytest.mark.parametrize(
+        "beta, v, lo, hi",
+        [(2.0, -2.0, 0.0, 5.0), (-0.0, -0.0, -0.0, 5.0), (2.0, -2.0, -5.0, 0.0), (-0.0, -0.0, -5.0, -0.0)],
+    )
+    def test_zero_tie_matches_node_costs_bit_for_bit(self, beta, v, lo, hi):
+        p = LocalProblem(Quadratic(1.0, beta), FeasibleInterval(lo, hi), 0.0)
+        node = NodeCosts([p]).argmin(v)[0]
+        assert np.float64(primal_argmin(p, v)).tobytes() == node.tobytes()
 
     def test_feasibility_property(self, suite_rng):
         # optimality certificate against random feasible points
