@@ -223,7 +223,7 @@ def _row(k, observed, bound):
 def check_bounds(trace, problems, A, lamstar, checkpoints=None, consensus_upto=None):
     """Evaluate every applicable bound against a recorded trace.
 
-    ``A`` is the run's :class:`~netalloc.graphs.WeightMatrix`, whose validated
+    ``A`` is the run's :class:`~netalloc.graphs.WeightMatrix`, whose derived
     ``sigma2`` feeds every bound. The per-iteration consensus bound is checked
     at every ``k`` up to ``consensus_upto`` and the weighted-consensus and
     dual-gap bounds at ``checkpoints``, both as :func:`resolve_checks` decides.

@@ -238,11 +238,7 @@ def _cmd_oracle(args):
 def _cmd_bounds(args):
     case, problems, weights, sched = _set_up(args)
     trace = RunTrace.from_csv(args.trace, problems, sched)
-    if args.lamstar is not None:
-        lamstar = args.lamstar
-    else:
-        lamstar = solve_centralized(problems, case.demand).lam_star
-    report = _check_bounds(args, trace, problems, weights, lamstar)
+    report = _check_bounds(args, trace, problems, weights, solve_centralized(problems, case.demand).lam_star)
     print(report.summary_json())
     return 0 if report.all_satisfied else 1
 
@@ -305,7 +301,6 @@ def build_parser():
         "bounds", parents=[traced], help="evaluate convergence bounds against a stored trace"
     )
     bounds.add_argument("--trace", required=True)
-    bounds.add_argument("--lamstar", default=None, type=float, help="dual optimum (default: solve the oracle)")
     bounds.set_defaults(func=_cmd_bounds)
 
     case = sub.add_parser("case", help="case-file utilities")

@@ -15,10 +15,10 @@ A :class:`WeightMatrix` holds the matrix in one form, its row-major CSR
 arrays, which the simulator's consensus round reads, so a round costs
 O(nnz), not O(n**2); its ``entries`` property rebuilds the dense matrix from
 them on each read. Building one checks that it is symmetric and that each
-row's ``math.fsum`` is one, so it is doubly stochastic, whoever built it.
+row's ``math.fsum`` is one, so it is doubly stochastic, whoever built it;
+then it finds its own ``sigma2`` from a dense copy that it drops.
 :func:`metropolis_weights` builds its CSR arrays straight from the edge
-array, each diagonal as one minus one ``fsum`` over the node's edge weights;
-the dense matrix exists only while its ``sigma2`` is found.
+array, each diagonal as one minus one ``fsum`` over the node's edge weights.
 
 The key spectral quantity is ``sigma2``, the second-largest singular value of
 ``A``: disagreement between nodes decays like ``sigma2**k``, and the bounds
@@ -33,7 +33,7 @@ instead of a dense SVD's 10.4 ms on a 300-node cycle, and 62 ms instead of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -205,39 +205,39 @@ class WeightMatrix:
     ----------
     n : int
         Dimension.
-    sigma2 : float
-        Second-largest singular value, in ``[0, 1)`` for connected graphs,
-        from :func:`second_largest_singular_value`: a safe-side estimate, at
-        most ``n * eps * max|lambda|`` above the exact value plus the
-        solver's error.
     indptr, indices, data : ndarray
         The nonzero entries and the whole diagonal, row by row; read-only.
         Row ``i`` is ``data[indptr[i]:indptr[i+1]]`` in the columns
         ``indices[indptr[i]:indptr[i+1]]``, in increasing order, so no row is
         empty.
+    sigma2 : float
+        Second-largest singular value, found here, never passed in:
+        :func:`second_largest_singular_value` of :attr:`entries`, a safe-side
+        estimate, at most ``n * eps * max|lambda|`` above the exact value
+        plus the solver's error.
 
     Building one, directly or through ``dataclasses.replace``, checks it with
     O(nnz) array operations, one ``math.fsum`` per row and one sort, and
-    raises ``ValueError`` for a ``sigma2`` outside ``[0, 1)``, arrays of the
-    wrong lengths, an ``indptr`` that does not rise from 0 to ``nnz``,
-    column indices out of range or not increasing within a row, a row
-    without its stored diagonal, ``data`` outside ``[0, 1]``, a row whose
-    ``fsum`` is off one by more than :data:`STOCHASTIC_TOL` (the first such
-    row, with its sum), or entries that are not exactly symmetric in pattern
-    and value (the first asymmetric entry in row-major order). So its columns
-    sum to one as its rows do, which is what the bounds assume.
+    raises ``ValueError`` for arrays of the wrong lengths, an ``indptr`` that
+    does not rise from 0 to ``nnz``, column indices out of range or not
+    increasing within a row, a row without its stored diagonal, ``data``
+    outside ``[0, 1]``, a row whose ``fsum`` is off one by more than
+    :data:`STOCHASTIC_TOL` (the first such row, with its sum), or entries
+    that are not exactly symmetric in pattern and value (the first
+    asymmetric entry in row-major order). So its columns sum to one as its
+    rows do, which is what the bounds assume. Then it finds ``sigma2``; a
+    value of at least one (the identity, the 2 x 2 swap) raises
+    ``ValueError`` with it.
     """
 
     n: int
-    sigma2: float
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+    sigma2: float = field(init=False)
 
     def __post_init__(self):
         n, indptr, indices, data = self.n, self.indptr, self.indices, self.data
-        if not 0.0 <= self.sigma2 < 1.0:
-            raise ValueError(f"sigma2 must lie in [0, 1), got {self.sigma2}")
         if indptr.shape != (n + 1,) or data.ndim != 1 or indices.shape != data.shape:
             raise ValueError(
                 f"CSR arrays of shapes {indptr.shape}, {indices.shape}, {data.shape} do not fit n = {n}"
@@ -274,11 +274,16 @@ class WeightMatrix:
             raise ValueError(f"weights must be symmetric: entry ({i},{j}) is {here} but ({j},{i}) is {there}")
         for array in (indptr, indices, data):
             array.setflags(write=False)
+        sigma2 = second_largest_singular_value(self.entries)
+        if not sigma2 < 1.0:
+            raise ValueError(f"sigma2 must lie below 1, got {sigma2!r}")
+        object.__setattr__(self, "sigma2", sigma2)
 
     @property
     def entries(self):
-        """The dense ``n x n`` matrix, rebuilt from the CSR arrays on each read; read-only."""
-        a = _dense(self.n, self.indptr, self.indices, self.data)
+        """The dense ``n x n`` matrix, 0.0 where nothing is stored, rebuilt on each read; read-only."""
+        a = np.zeros((self.n, self.n))
+        a[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices] = self.data
         a.setflags(write=False)
         return a
 
@@ -287,13 +292,6 @@ def _row_fsums(indptr, data):
     """One ``math.fsum`` per CSR row, as a list."""
     values, bounds = data.tolist(), indptr.tolist()
     return [math.fsum(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _dense(n, indptr, indices, data):
-    """The dense ``n x n`` matrix of CSR arrays; an entry that is not stored reads 0.0."""
-    a = np.zeros((n, n))
-    a[np.repeat(np.arange(n), np.diff(indptr)), indices] = data
-    return a
 
 
 def _require_weight_matrix(A):
@@ -319,8 +317,7 @@ def metropolis_weights(g):
     Boyd, "Fast linear iterations for distributed averaging", 2004). The
     stored entries are both directions of each edge plus the diagonal, in
     row-major order. A graph that is not connected, whose ``sigma2`` is 1,
-    raises :class:`DisconnectedGraph`. The dense matrix is built only to
-    find ``sigma2``.
+    raises :class:`DisconnectedGraph` before any matrix is built.
     """
     if not g.connected:
         raise DisconnectedGraph("metropolis weights require a connected graph")
@@ -332,8 +329,7 @@ def metropolis_weights(g):
     # row i's diagonal follows its neighbours below i; it still holds 0.0,
     # which leaves the row's fsum as it is
     data[indptr[:-1] + np.bincount(j, minlength=n)] = [1.0 - total for total in _row_fsums(indptr, data)]
-    sigma2 = second_largest_singular_value(_dense(n, indptr, indices, data))
-    return WeightMatrix(n, sigma2, indptr, indices, data)
+    return WeightMatrix(n, indptr, indices, data)
 
 
 def second_largest_singular_value(a):

@@ -50,11 +50,14 @@ def solve_centralized(problems, b=None):
     for ``g(lam) = math.fsum(NodeCosts(problems).argmin(lam))``. The bracket,
     the extreme breakpoints ``min(-beta - 2*gamma*hi)`` and
     ``max(-beta - 2*gamma*lo)`` each widened by one plus its magnitude, puts
-    every node at ``hi`` at its left end and at ``lo`` at its right end.
-    Bisection over the doubles' ranks ends at neighbours within 64 probes, so
-    ``g`` at the doubles next to ``lam_star`` brackets ``b``. Flat nodes
-    indifferent at ``lam_star`` (``gamma == 0``, ``beta + lam_star == 0``)
-    take up ``b - sum x`` in index order, each up to its ``hi``.
+    every node at ``hi`` at its left end and at ``lo`` at its right end. At
+    ``b == fsum(hi)``, where every ``lam`` up to the first breakpoint is
+    optimal, it is the largest double with ``g(lam) >= b``, that breakpoint,
+    as ``b == fsum(lo)`` gets the last one. Bisection over the doubles'
+    ranks ends at neighbours within 64 probes, so ``g`` at the doubles next
+    to ``lam_star`` brackets ``b``. Flat nodes indifferent at ``lam_star``
+    (``gamma == 0``, ``beta + lam_star == 0``) take up ``b - sum x`` in
+    index order, each up to its ``hi``.
     """
     problems = tuple(problems)
     if not problems:
@@ -70,15 +73,17 @@ def solve_centralized(problems, b=None):
     costs = NodeCosts(problems)
     first = float(np.min(-costs.beta - 2.0 * costs.gamma * costs.hi))
     last = float(np.max(-costs.beta - 2.0 * costs.gamma * costs.lo))
-    # g(left) = sum hi >= b >= sum lo = g(right)
+    # g(left) = sum hi >= b >= sum lo = g(right); at b = sum hi, right moves only where g < b
+    at_hi = b == total_hi
     left, right = _rank(first - (1.0 + abs(first))), _rank(last + (1.0 + abs(last)))
     while right - left > 1:
         mid = (left + right) // 2
-        if math.fsum(costs.argmin(_double(mid)).tolist()) <= b:
+        g = math.fsum(costs.argmin(_double(mid)).tolist())
+        if g < b or (g == b and not at_hi):
             right = mid
         else:
             left = mid
-    lam = _double(right)
+    lam = _double(left if at_hi else right)
 
     x = costs.argmin(lam)
     for j in np.flatnonzero((costs.gamma == 0.0) & (costs.beta + lam == 0.0)).tolist():

@@ -1,4 +1,5 @@
-"""Shared helpers: random connected graphs and random strictly convex instances."""
+"""Shared helpers: random connected graphs, the CSR fields of a dense weight
+matrix, and random strictly convex instances."""
 
 import math
 
@@ -22,6 +23,16 @@ def random_connected_graph(rng, n, extra_edge_prob=0.35):
             if (i, j) not in edges and rng.random() < extra_edge_prob:
                 edges.add((i, j))
     return GraphTopology(n, edges)
+
+
+def csr_fields(a):
+    """The ``WeightMatrix`` fields of a dense ``n x n`` array: its nonzero
+    entries and its whole diagonal, row by row."""
+    a = np.asarray(a, dtype=float)
+    n = len(a)
+    rows, cols = np.nonzero((a != 0.0) | np.eye(n, dtype=bool))
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+    return dict(n=n, indptr=indptr, indices=cols, data=a[rows, cols])
 
 
 def random_quadratic_instance(rng, n=None):

@@ -1,6 +1,5 @@
 """Bound formulas and their evaluation against traces."""
 
-import dataclasses
 import math
 import re
 
@@ -15,6 +14,7 @@ from netalloc import (
     Quadratic,
     Recip,
     RecipSqrt,
+    WeightMatrix,
     builtin_ieee14,
     check_bounds,
     consensus_error_bound,
@@ -34,7 +34,7 @@ from netalloc import (
 from netalloc.bounds import _dual_sums, resolve_checks
 from netalloc.graphs import cycle_graph
 from netalloc.objectives import NodeCosts
-from conftest import SUITE_SEED, random_connected_graph, random_quadratic_instance
+from conftest import SUITE_SEED, csr_fields, random_connected_graph, random_quadratic_instance
 
 
 def make_problem(lo, hi, share, gamma=0.1, beta=0.0):
@@ -436,8 +436,14 @@ class TestConsensusBoundMatchesReference:
         trace = run_dlm(problems, w, sched, self.K, init_lams=rng.uniform(-5.0, 5.0, n))
         lamstar = solve_centralized(problems, total).lam_star
         alphas = sched.alphas(self.K)
-        for sigma2 in [w.sigma2, *self.sigma2s(rng)]:
-            report = check_bounds(trace, problems, dataclasses.replace(w, sigma2=sigma2), lamstar)
+        # check_bounds reads only the size and sigma2 of the matrix: the run's
+        # own, the averaging matrix's (about 0) and those of the lazy matrices
+        # (1 - t) I + t W, within about t of 1
+        eye, entries = np.eye(n), w.entries
+        for a in (entries, np.full((n, n), 1.0 / n), 0.5 * (eye + entries), (1 - 1e-4) * eye + 1e-4 * entries):
+            A = WeightMatrix(**csr_fields(a))
+            sigma2 = A.sigma2
+            report = check_bounds(trace, problems, A, lamstar)
             assert report.sigma2 == sigma2 and len(report.consensus_rows) == self.K + 1
             expected = [
                 reference_consensus_bound(k, alphas, sigma2, report.lam0_l1, report.C, n) for k in range(self.K + 1)

@@ -314,37 +314,24 @@ class TestBounds:
         assert capsys.readouterr().err == "error: ValueError: consensus_upto must be nonnegative, got -3\n"
         assert not (out / "bounds.csv").exists()
 
-    @pytest.mark.parametrize("lamstar", ["nan", "inf"])
-    def test_non_finite_lamstar_is_one_error_line(self, tmp_path, capsys, lamstar):
-        trace = self._run(tmp_path, "recip-sqrt") / "trace.csv"
-        out = tmp_path / "replay"
-        capsys.readouterr()
-        code = run_cli(
-            "bounds",
-            "--case", "builtin:ieee14",
-            "--graph", "cycle",
-            "--schedule", "recip-sqrt",
-            "--trace", str(trace),
-            "--lamstar", lamstar,
-            "--out", str(out),
-        )
-        assert code == 1
-        assert capsys.readouterr().err == f"error: ValueError: lamstar must be finite, got {lamstar}\n"
-        assert not (out / "bounds.csv").exists()
-
     def test_explicit_lamstar_and_checkpoint_one(self, tmp_path, capsys):
+        # lam_star is always the oracle's: --lamstar is an unrecognised argument
         out = self._run(tmp_path, "recip-sqrt")
-        code = run_cli(
+        argv = (
             "bounds",
             "--case", "builtin:ieee14",
             "--graph", "cycle",
             "--schedule", "recip-sqrt",
             "--trace", str(out / "trace.csv"),
-            "--lamstar", "-7.299180327868853",
             "--checkpoints", "1",
             "--out", str(out),
         )
-        assert code == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--lamstar", "-7.299180327868853")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lamstar -7.299180327868853" in capsys.readouterr().err
+        assert run_cli(*argv) == 0
 
 
 class TestCaseCommands:

@@ -307,6 +307,18 @@ class TestExactRoot:
         assert abs(Fraction(sol.lam_star) - root) <= 2 * math.ulp(float(root))
         assert_certified(problems, b, sol)
 
+    @pytest.mark.parametrize("b, lam_star, inward", [(0.0, -2.0, -math.inf), (390.0, -8.9, math.inf)])
+    def test_total_at_an_end_takes_the_extreme_breakpoint(self, b, lam_star, inward):
+        # builtin:ieee14's boxes hold 0 to 390 MW in all: every multiplier from
+        # the last breakpoint, -2.0, on is optimal for a total of sum lo, and
+        # every one up to the first, -8.9, for sum hi; lam_star is that
+        # breakpoint, and one double inward the total is missed
+        problems = to_problems(builtin_ieee14())
+        sol = solve_centralized(problems, b)
+        assert sol.lam_star == lam_star
+        assert response(problems, lam_star) == b != response(problems, math.nextafter(lam_star, inward))
+        assert sol.residual == 0.0 and verify_kkt(problems, sol, b=b)
+
     def test_random_instances(self, suite_rng, monkeypatch):
         probes = []
         argmin = NodeCosts.argmin
@@ -321,6 +333,8 @@ class TestExactRoot:
             root, unique = exact_root(problems, b)
             # at sum lo or sum hi, rounded sums, the float response may be flat where the exact one falls
             ends = [math.fsum(p.interval.lo for p in problems), math.fsum(p.interval.hi for p in problems)]
+            if b == ends[1] != ends[0]:  # the largest double with g(lam) >= b
+                assert response(problems, sol.lam_star) >= b > response(problems, math.nextafter(sol.lam_star, math.inf))
             if unique and b not in ends:
                 assert abs(Fraction(sol.lam_star) - root) <= 4 * np.finfo(float).eps * reach(problems)
 

@@ -6,7 +6,7 @@ about 4096 cells, so that no temporary has the shape of the trace. The
 ``reference_*`` functions below are the whole-array expressions they replaced,
 kept verbatim apart from being functions; every trace must give the same bits
 through both. The rows are not a multiple of the block, and ``n = 5000``
-gives one-row blocks.
+gives one-row blocks, as does ``n = 64`` with 64 cells to a block.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from netalloc import RecipSqrt, RunTrace, WeightMatrix, check_bounds, cycle_graph, metropolis_weights
+from netalloc import RecipSqrt, RunTrace, check_bounds, cycle_graph, metropolis_weights, simulator
 from netalloc.bounds import (
     BoundReport,
     _consensus_bounds,
@@ -159,16 +159,21 @@ def test_cumulative_weighted_errors_match_whole_array(n):
         assert bits(got) == bits(expected[K]), K
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_check_bounds_rows_match_whole_array(n):
+# a 5000-node weight matrix would take a 200 MB dense eigensolve, so blocks
+# of 64 cells give a 64-node trace the one-row blocks instead
+@pytest.mark.parametrize(
+    "n, cells",
+    [pytest.param(n, simulator.CSV_BLOCK_CELLS, id=str(n)) for n in SIZES[:-1]]
+    + [pytest.param(64, 64, id="64-one-row-blocks")],
+)
+def test_check_bounds_rows_match_whole_array(monkeypatch, n, cells):
+    monkeypatch.setattr(simulator, "CSV_BLOCK_CELLS", cells)
     trace, rng = random_trace(n, 5)
-    # check_bounds reads only the size and sigma2 of the weight matrix, so the
-    # identity's CSR arrays stand in for a 5000-node Metropolis matrix, whose
-    # set-up would take 200 MB dense
-    w = WeightMatrix(n, 0.99, np.arange(n + 1), np.arange(n), np.ones(n))
+    w = metropolis_weights(cycle_graph(n))
     lamstar = float(rng.uniform(-1.0, 1.0))
     T, block = trace.iterations, block_rows(n)
     checks = [(None, None), ([1, block, T], block - 1), ([block + 1], 0), ([], 2)]
+    assert (block == 1) == (cells < 2 * n)
     if block == 1:  # each dual-gap checkpoint then takes n calls of one average
         checks = [([T], None)]
     for checkpoints, upto in checks:
