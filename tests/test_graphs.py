@@ -235,21 +235,31 @@ class TestWeightMatrixForm:
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(w, sigma2=0.5)
 
-    def test_refuses_a_computed_sigma2_of_one(self):
-        # well-formed, symmetric and doubly stochastic, with sigma2 = 1 (the
-        # computed value a few ulps above): the identity and a block-diagonal
-        # matrix, whose patterns are not connected, and the 2 x 2 swap, with
-        # the eigenvalue -1; metropolis_weights refuses a graph that is not
-        # connected before it gets here
-        w = metropolis_weights(cycle_graph(4))
-        for a in (np.eye(5), np.kron(np.eye(2), np.full((2, 2), 0.5)), np.array([[0.0, 1.0], [1.0, 0.0]])):
-            sigma2 = second_largest_singular_value(a)
-            assert sigma2 >= 1.0
-            message = f"^sigma2 must lie below 1, got {re.escape(repr(sigma2))}$"
-            with pytest.raises(ValueError, match=message):
-                WeightMatrix(**csr_fields(a))
-            with pytest.raises(ValueError, match=message):
-                dataclasses.replace(w, **csr_fields(a))
+    # Each matrix below is well-formed, symmetric and doubly stochastic, with
+    # sigma2 = 1 (the computed value a few ulps above), and is refused with
+    # that value, built directly and through dataclasses.replace.
+    @staticmethod
+    def refuses_its_computed_sigma2(a):
+        sigma2 = second_largest_singular_value(a)
+        assert sigma2 >= 1.0
+        message = f"^sigma2 must lie below 1, got {re.escape(repr(sigma2))}$"
+        with pytest.raises(ValueError, match=message):
+            WeightMatrix(**csr_fields(a))
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(metropolis_weights(cycle_graph(4)), **csr_fields(a))
+
+    def test_refuses_sigma2_out_of_range(self):
+        # the 2 x 2 swap, connected but with the eigenvalue -1
+        self.refuses_its_computed_sigma2(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_refuses_the_sigma2_of_a_disconnected_graph(self):
+        # two components; metropolis_weights rejects such a graph before it
+        # gets here
+        self.refuses_its_computed_sigma2(np.kron(np.eye(2), np.full((2, 2), 0.5)))
+
+    def test_refuses_the_identity(self):
+        # five components, each a node alone
+        self.refuses_its_computed_sigma2(np.eye(5))
 
     @pytest.mark.parametrize(
         "graph",
