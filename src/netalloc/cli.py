@@ -115,7 +115,7 @@ def _parse_list(text, convert, what, noun):
     return values
 
 
-def _parse_shares(split, case):
+def _parse_shares(split):
     if split == "equal":
         return None
     if split.startswith("explicit:"):
@@ -165,7 +165,7 @@ def _write_plots(outdir, trace):
 def _set_up(args):
     """The case, problems, Metropolis weights and schedule that ``run`` and ``bounds`` share."""
     case, synth_seed = _load_case_spec(args.case)
-    problems = case_io.to_problems(case, _parse_shares(args.split, case))
+    problems = case_io.to_problems(case, _parse_shares(args.split))
     graph = _build_graph(args.graph, case, synth_seed, args.bus_lines)
     return case, problems, metropolis_weights(graph), parse_schedule(args.schedule)
 
@@ -221,7 +221,7 @@ def _cmd_run(args):
 
 def _cmd_oracle(args):
     case, _ = _load_case_spec(args.case)
-    problems = case_io.to_problems(case, _parse_shares(args.split, case))
+    problems = case_io.to_problems(case, _parse_shares(args.split))
     sol = solve_centralized(problems, case.demand)
     print(f"x_star={','.join(_fmt(x) for x in sol.x_star)}")
     print(f"f_star={_fmt(sol.f_star)}")

@@ -224,36 +224,32 @@ class RunTrace:
     def from_csv(cls, path, problems, schedule):
         """Rebuild a trace from a CSV written by :meth:`to_csv`.
 
-        Every ``(k, node)`` cell with ``0 <= k <= max k`` and ``0 <= node < n``
-        must appear exactly once. A row with the wrong number of fields, a
-        malformed or non-finite number, a negative ``k``, an out-of-range node
-        or a repeated row raises ValueError naming its line; a missing row
-        raises ValueError naming its cell. Blank lines are skipped.
+        The file must hold the layout :meth:`to_csv` writes: after the
+        header, rounds ``k = 0 .. T`` in order, each with nodes ``0 .. n-1``
+        in order, every value finite. Only empty lines are skipped. ``x``,
+        ``lam`` and ``v`` are views of the parsed rows, not copies.
 
         The body is read by one call to numpy's C text reader
-        (:func:`numpy.loadtxt`). Line numbers matter only in an error, so the
-        per-line scan (:func:`_scan_rows`) runs only when that reader rejects
-        the file or a line-naming check fails; it names the line and accepts
-        what the bulk reader is stricter about (whitespace-only lines, ``1_0``,
-        non-ASCII digits, integers beyond int64). Both feed the same checks.
+        (:func:`numpy.loadtxt`), which decides what parses, and one
+        vectorised test of the layout. Line numbers matter only in an error,
+        so the per-line scan (:func:`_scan_rows`) runs only after a refusal:
+        it raises ValueError naming the first faulty line (or the first
+        missing cell of a file that ends inside a round), and when it finds
+        no fault, numpy's own error is raised.
         """
         problems = tuple(problems)
         n = len(problems)
+        if n < 1:
+            raise ValueError("need at least 1 node, got 0")
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "k,node,x,lambda,v":
                 raise ValueError(f"unexpected trace header {header!r}")
-            rows = _load_rows(fh)
-        checked = None
-        if rows is not None:
-            cols = (rows["x"], rows["lambda"], rows["v"])
             try:
-                checked = _trace_arrays(rows["k"], rows["node"], cols, None, n)
-            except _NeedLineNumbers:
-                pass  # the scan names the line
-        if checked is None:
-            checked = _trace_arrays(*_scan_rows(path), n)
-        x, lam, v = checked
+                x, lam, v = _columns(_load_rows(fh), n)
+            except (ValueError, DeprecationWarning):
+                _scan_rows(path, n)
+                raise
         b = np.array([p.share for p in problems], dtype=float)
         return cls(problems=problems, b=b, schedule=schedule, x=x, lam=lam, v=v)
 
@@ -320,42 +316,54 @@ def _running_sums(terms, ks, width):
     return sums
 
 
-class _NeedLineNumbers(Exception):
-    """A trace check failed on rows read without their line numbers."""
-
-
 def _load_rows(fh):
-    """The remaining rows of ``fh`` as one :data:`_TRACE_DTYPE` array, or None
-    when numpy's reader rejects them.
+    """The remaining rows of ``fh`` as one :data:`_TRACE_DTYPE` array.
 
-    ``comments=None`` keeps ``#`` an ordinary, malformed character. The
-    reader's row index skips blank lines, so it is never used as a line
-    number. A deprecated conversion counts as a rejection (numpy < 2 parses
-    ``1.0`` as an integer with a DeprecationWarning; the per-line scan does
-    not accept it).
+    numpy's reader raises ValueError for a file it rejects. ``comments=None``
+    keeps ``#`` an ordinary, malformed character. The reader's row index
+    skips blank lines, so its messages do not give line numbers. A deprecated
+    conversion is an error too (numpy < 2 parses ``1.0`` as an integer with
+    a DeprecationWarning).
     """
     with warnings.catch_warnings():
-        # an empty body is reported by the checks
+        # an empty body is reported by the scan
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         warnings.simplefilter("error", DeprecationWarning)
-        try:
-            return np.loadtxt(fh, delimiter=",", dtype=_TRACE_DTYPE, comments=None, ndmin=1)
-        except (ValueError, DeprecationWarning):
-            return None
+        return np.loadtxt(fh, delimiter=",", dtype=_TRACE_DTYPE, comments=None, ndmin=1)
 
 
-def _scan_rows(path):
-    """Parse the trace body line by line: ``(ks, nodes, cols, linenos)``.
+def _columns(rows, n):
+    """``(x, lam, v)``, each a ``(T + 1, n)`` view of ``rows``.
 
-    Lines that are empty after stripping whitespace are skipped; a row with
-    the wrong number of fields or a malformed number raises ValueError naming
-    its line.
+    Raises ValueError unless ``rows`` hold :meth:`RunTrace.to_csv`'s
+    layout: rounds ``0 .. T``, each with nodes ``0 .. n-1``, all finite.
     """
-    linenos, ks, nodes, values = [], [], [], []
+    rounds, extra = divmod(len(rows), n)
+    if rounds and not extra:
+        ks, nodes = rows["k"].reshape(rounds, n), rows["node"].reshape(rounds, n)
+        cols = tuple(rows[name].reshape(rounds, n) for name in ("x", "lambda", "v"))
+        if (
+            (ks == np.arange(rounds)[:, None]).all()
+            and (nodes == np.arange(n)).all()
+            and all(np.isfinite(col).all() for col in cols)
+        ):
+            return cols
+    raise ValueError("trace rows are not in the layout to_csv writes")
+
+
+def _scan_rows(path, n):
+    """Raise ValueError for the first line of the trace body that breaks
+    :meth:`RunTrace.to_csv`'s layout, naming it; return None if none does.
+
+    A line is empty, or five fields that numpy's reader parses (two int64,
+    three float64), with finite values, holding the next ``(k, node)`` cell.
+    A body that ends inside a round names its first missing cell.
+    """
+    rows = 0  # the next row holds the cell divmod(rows, n)
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()  # the header, already checked
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.strip()
+        for lineno, line in enumerate(fh, start=2):
+            raw = line.rstrip("\n")
             if not raw:
                 continue
             parts = raw.split(",")
@@ -365,63 +373,42 @@ def _scan_rows(path):
                     f"expected 5 fields, got {len(parts)}"
                 )
             try:
-                ks.append(int(parts[0]))
-                nodes.append(int(parts[1]))
-                values.append((float(parts[2]), float(parts[3]), float(parts[4])))
+                k, node = (_field(part, int) for part in parts[:2])
+                values = [_field(part, float) for part in parts[2:]]
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: malformed trace row {raw!r}: {exc}") from None
-            linenos.append(lineno)
-    return np.array(ks), np.array(nodes), np.array(values).T, linenos
-
-
-def _trace_arrays(ks, nodes, cols, linenos, n):
-    """Check the rows and scatter them into ``(x, lam, v)``, each ``(T + 1, n)``.
-
-    ``cols`` holds the ``x``, ``lambda`` and ``v`` columns in row order.
-    A check that names a line raises :class:`_NeedLineNumbers` when
-    ``linenos`` is None.
-    """
-
-    def reject(r, message):
-        if linenos is None:
-            raise _NeedLineNumbers
-        raise ValueError(f"line {linenos[r]}: {message}")
-
-    if len(ks) == 0:
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"line {lineno}: non-finite value in trace row")
+            want_k, want_node = divmod(rows, n)
+            if (k, node) != (want_k, want_node):
+                raise ValueError(
+                    f"line {lineno}: expected the row for k={want_k}, node={want_node}, "
+                    f"got k={k}, node={node}"
+                )
+            rows += 1
+    if not rows:
         raise ValueError("empty trace file")
-    finite = np.isfinite(cols[0]) & np.isfinite(cols[1]) & np.isfinite(cols[2])
-    if not finite.all():
-        reject(int(np.argmin(finite)), "non-finite value in trace row")
-    bad = (ks < 0) | (nodes < 0) | (nodes >= n)
-    if bad.any():
-        r = int(np.argmax(bad))
-        if ks[r] < 0:
-            reject(r, f"negative iteration k={ks[r]}")
-        reject(r, f"node index {nodes[r]} outside [0,{n})")
-    rows, size = int(ks.max()) + 1, len(ks)
-    # the order to_csv writes: rounds 0 .. T, each with nodes 0 .. n-1
-    in_order = size == rows * n and (
-        (ks.reshape(rows, n) == np.arange(rows)[:, None]).all()
-        and (nodes.reshape(rows, n) == np.arange(n)).all()
-    )
-    if in_order:
-        return tuple(np.array(col).reshape(rows, n) for col in cols)
-    # any other order is sorted by (k, node), without a key that could overflow
-    order = np.lexsort((nodes, ks))
-    ks_sorted, nodes_sorted = ks[order], nodes[order]
-    repeats = order[1:][(ks_sorted[1:] == ks_sorted[:-1]) & (nodes_sorted[1:] == nodes_sorted[:-1])]
-    if repeats.size:
-        r = int(repeats.min())  # first repeat in file order
-        reject(r, f"repeated row for k={ks[r]}, node={nodes[r]}")
-    # the cells are now distinct, so the first one in sorted order that is not
-    # the cell of its position is the first missing one
-    want_k, want_node = np.divmod(np.arange(size), n)
-    gaps = np.flatnonzero((ks_sorted != want_k) | (nodes_sorted != want_node))
-    missing = int(gaps[0]) if gaps.size else size
-    if missing < size or size != rows * n:
-        k, i = divmod(missing, n)
-        raise ValueError(f"trace has no row for k={k}, node={i}")
-    return tuple(col[order].reshape(rows, n) for col in cols)
+    if rows % n:
+        raise ValueError("trace has no row for k=%d, node=%d" % divmod(rows, n))
+
+
+def _field(text, kind):
+    """``text`` read as numpy's reader reads an int64 (``kind`` is ``int``)
+    or a float64 (``kind`` is ``float``) field.
+
+    Python's ``int`` and ``float`` also take ``_`` between digits and
+    non-ASCII digits, and ``int`` any size; numpy's reader takes none of these.
+    """
+    stripped = text.strip()
+    try:
+        if not stripped.isascii() or "_" in stripped:
+            raise ValueError
+        value = kind(stripped)
+        if kind is int and not -(2**63) <= value < 2**63:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"could not convert {text!r} to {kind.__name__}64") from None
+    return value
 
 
 def _require_finite(x_hist, lam_hist, v_hist):

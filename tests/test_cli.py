@@ -300,6 +300,19 @@ class TestBounds:
         assert err.startswith("error: ValueError: line 4: malformed trace row '1,x,1,2,3': ")
         assert "\n" not in err.strip("\n")
 
+    def test_trace_of_another_case_names_its_first_out_of_place_line(self, tmp_path, capsys):
+        # a 54-node trace read for a 5-node case: line 7 holds k=0, node=5
+        out = tmp_path / "synth7"
+        argv = ("--graph", "cycle", "--schedule", "recip-sqrt")
+        assert run_cli("run", "--case", "synth:7", *argv, "--iters", "3", "--out", str(out)) == 0
+        capsys.readouterr()
+        trace = str(out / "trace.csv")
+        code = run_cli("bounds", "--case", "builtin:ieee14", *argv, "--trace", trace, "--out", str(tmp_path / "replay"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: line 7: expected the row for k=1, node=0, got k=0, node=5\n"
+        )
+
     def test_negative_bound_horizon_is_one_error_line(self, tmp_path, capsys):
         argv = ("--case", "builtin:ieee14", "--graph", "cycle", "--schedule", "recip-sqrt")
         code = run_cli("run", *argv, "--iters", "50", "--bounds-upto", "-5", "--out", str(tmp_path / "bad"))

@@ -332,18 +332,24 @@ class TestRunTrace:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda rows: rows[:4] + [rows[3]] + rows[5:], "line 5: repeated row for k=1, node=0"),
-            (lambda rows: rows[:4] + rows[5:], "no row for k=1, node=1"),
-            (lambda rows: rows[:-1], "no row for k=2, node=1"),
-            (lambda rows: rows[:3] + ["-1" + rows[3][1:]] + rows[4:], "line 4: negative iteration k=-1"),
-            (lambda rows: rows[:3] + ["1,2" + rows[3][3:]] + rows[4:], r"line 4: node index 2 outside \[0,2\)"),
+            (lambda rows: rows[:4] + [rows[3]] + rows[5:], "^line 5: expected the row for k=1, node=1, got k=1, node=0$"),
+            (lambda rows: rows[:4] + rows[5:], "^line 5: expected the row for k=1, node=1, got k=2, node=0$"),
+            (lambda rows: rows[:-1], "^trace has no row for k=2, node=1$"),
+            (
+                lambda rows: rows[:3] + ["-1" + rows[3][1:]] + rows[4:],
+                "^line 4: expected the row for k=1, node=0, got k=-1, node=0$",
+            ),
+            (
+                lambda rows: rows[:3] + ["1,2" + rows[3][3:]] + rows[4:],
+                "^line 4: expected the row for k=1, node=0, got k=1, node=2$",
+            ),
             (
                 lambda rows: rows[:3] + ["1,x,1,2,3"] + rows[4:],
-                r"line 4: malformed trace row '1,x,1,2,3': invalid literal for int\(\)",
+                "^line 4: malformed trace row '1,x,1,2,3': could not convert 'x' to int64$",
             ),
             (lambda rows: rows[:3] + ["1,0,1,2"] + rows[4:], "line 4: .*expected 5 fields, got 4"),
             (lambda rows: rows[:3] + ["1,0,1,2,3,4"] + rows[4:], "line 4: .*expected 5 fields, got 6"),
-            (lambda rows: rows[:4] + ["1,1,nan,2,3"] + rows[5:], "line 5: non-finite value"),
+            (lambda rows: rows[:4] + ["1,1,nan,2,3"] + rows[5:], "^line 5: non-finite value in trace row$"),
         ],
         ids=[
             "repeated",
