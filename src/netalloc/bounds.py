@@ -151,8 +151,6 @@ class BoundReport:
     sigma2: float
     C: float
     lam0_l1: float
-    lamstar: float
-    schedule_name: str
     consensus_rows: list = field(default_factory=list)
     weighted_rows: list = field(default_factory=list)
     gap_rows: list = field(default_factory=list)
@@ -257,14 +255,7 @@ def check_bounds(trace, problems, A, lamstar, checkpoints=None, consensus_upto=N
     C = global_subgradient_bound(problems)
     lam0 = trace.lam[0]
     lam0_l1 = float(np.abs(lam0).sum())
-    report = BoundReport(
-        n=n,
-        sigma2=sigma2,
-        C=C,
-        lam0_l1=lam0_l1,
-        lamstar=float(lamstar),
-        schedule_name=getattr(sched, "name", str(sched)),
-    )
+    report = BoundReport(n=n, sigma2=sigma2, C=C, lam0_l1=lam0_l1)
 
     observed = _spreads(trace.lam[: upto + 1]).tolist()
     bounds = _consensus_bounds(upto, sched.alphas(upto), sigma2, lam0_l1, C, n)

@@ -10,7 +10,9 @@ A case file is plain CSV with one leading metadata line::
 Generator ``i`` costs ``gamma*P**2 + beta*P + mu`` for output ``P`` in
 ``[pmin, pmax]``; ``demand`` is the total the network must supply. Parsing is
 strict: malformed numbers, unknown metadata keys, and convexity violations are
-reported with their line number.
+reported with their line number. Numbers here and in bus-line files follow
+the package's one rule, :func:`~netalloc.errors._field`: what numpy's text
+reader reads as an int64 (ids and buses) or a float64.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DisconnectedGraph, FeasibilityError, ParseError, ShareSumMismatch
-from .graphs import GraphTopology, _distinct, _int_array, _offsets, _pair_array, component_labels
+from .errors import DisconnectedGraph, FeasibilityError, ParseError, ShareSumMismatch, _field
+from .graphs import GraphTopology, _distinct, _int_array, _int_pairs, _offsets, _pair_array, component_labels
 from .objectives import FeasibleInterval, LocalProblem, Quadratic
 
 CASE_HEADER = "id,bus,gamma,beta,mu,pmin,pmax"
@@ -98,24 +101,21 @@ class DispatchCase:
         return len(self.generators)
 
 
+# each column of a generator row with the kind of number it holds
+_COLUMNS = tuple(zip(CASE_HEADER.split(","), (int, int, float, float, float, float, float)))
 _METADATA_RE = re.compile(r"^#\s*demand=(\S+)(?:\s+name=(.*))?\s*$")
 
 
-def _parse_float(token, lineno, what):
+def _parse_number(token, kind, lineno, what):
+    """``token`` read by :func:`~netalloc.errors._field` as ``kind``; a float must be finite."""
     try:
-        val = float(token)
+        val = _field(token, kind)
     except ValueError:
-        raise ParseError(lineno, f"malformed number {token!r} for {what}") from None
+        noun = "integer" if kind is int else "number"
+        raise ParseError(lineno, f"malformed {noun} {token!r} for {what}") from None
     if not math.isfinite(val):
         raise ParseError(lineno, f"non-finite value {token!r} for {what}")
     return val
-
-
-def _parse_int(token, lineno, what):
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(lineno, f"malformed integer {token!r} for {what}") from None
 
 
 def parse_case(text):
@@ -136,7 +136,7 @@ def parse_case(text):
                 raise ParseError(
                     lineno, f"expected metadata line '# demand=<MW> name=<label>', got {raw!r}"
                 )
-            demand = _parse_float(m.group(1), lineno, "demand")
+            demand = _parse_number(m.group(1), float, lineno, "demand")
             if m.group(2) is not None:
                 name = m.group(2).strip()
             continue
@@ -150,13 +150,8 @@ def parse_case(text):
         parts = line.split(",")
         if len(parts) != 7:
             raise ParseError(lineno, f"expected 7 comma-separated fields, got {len(parts)}")
-        gid = _parse_int(parts[0], lineno, "id")
-        bus = _parse_int(parts[1], lineno, "bus")
-        gamma = _parse_float(parts[2], lineno, "gamma")
-        beta = _parse_float(parts[3], lineno, "beta")
-        mu = _parse_float(parts[4], lineno, "mu")
-        pmin = _parse_float(parts[5], lineno, "pmin")
-        pmax = _parse_float(parts[6], lineno, "pmax")
+        values = [_parse_number(token, kind, lineno, what) for token, (what, kind) in zip(parts, _COLUMNS)]
+        gid, bus, gamma, beta, mu, pmin, pmax = values
         if gamma < 0.0:
             raise ParseError(lineno, f"gamma must be nonnegative for convexity, got {gamma}")
         if pmin > pmax:
@@ -183,14 +178,17 @@ def serialize_case(case):
     return "\n".join(out) + "\n"
 
 
-def load_case(path):
-    """Read and parse a case file; missing files surface as parse errors."""
+def _read_text(path, what):
+    """The text of the file at ``path``; ValueError ``cannot read WHAT PATH: REASON`` if it cannot be read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(0, f"cannot read case file {path}: {exc.strerror or exc}") from None
-    return parse_case(text)
+        raise ValueError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+
+
+def load_case(path):
+    """Read and parse a case file; an unreadable file raises ValueError."""
+    return parse_case(_read_text(path, "case file"))
 
 
 def save_case(case, path):
@@ -330,20 +328,12 @@ def to_problems(case, shares=None):
 
 def parse_bus_lines(text):
     """Parse a bus-line file: one ``bus_i bus_j`` pair per line, '#' comments."""
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(lineno, f"expected 'bus_i bus_j', got {raw!r}")
-        u = _parse_int(parts[0], lineno, "bus")
-        v = _parse_int(parts[1], lineno, "bus")
+    pairs = set()
+    for lineno, u, v in _int_pairs(text, "bus_i bus_j", "malformed integer {token!r} for bus"):
         if u == v:
             raise ParseError(lineno, f"self-loop on bus {u}")
-        pairs.append((min(u, v), max(u, v)))
-    return sorted(set(pairs))
+        pairs.add((min(u, v), max(u, v)))
+    return sorted(pairs)
 
 
 def serialize_bus_lines(pairs):

@@ -13,7 +13,8 @@ Subcommands::
 Case specs: ``builtin:ieee14``, ``synth:SEED[:NGEN]``, ``file:PATH`` or a bare
 path. Graph specs: ``cycle``, ``path``, ``complete``, ``file:PATH``,
 ``bus-derived[:LINESFILE]``. Schedule specs: ``recip-sqrt``, ``recip``,
-``powerlaw:C:P``.
+``powerlaw:C:P``. A number, in a spec or a flag, is what numpy's text reader
+reads as an int64 or a float64 (:func:`~netalloc.errors._field`).
 
 All outputs are byte-reproducible: rerunning a configuration writes identical
 files.
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import cases as case_io
 from .bounds import check_bounds, resolve_checks
-from .errors import NetallocError
+from .errors import NetallocError, _field
 from .graphs import (
     complete_graph,
     cycle_graph,
@@ -60,10 +61,13 @@ def _load_case_spec(spec):
             raise ValueError(f"unknown builtin case {name!r}")
         return case_io.builtin_ieee14(), None
     if spec.startswith("synth:"):
-        fields = spec.split(":")[1:]
-        if not (1 <= len(fields) <= 2 and all(tok.isdecimal() for tok in fields)):
+        try:
+            fields = [_field(tok, int) for tok in spec.split(":")[1:]]
+        except ValueError:
+            fields = []
+        if not (1 <= len(fields) <= 2 and min(fields) >= 0):
             raise ValueError(f"case spec {spec!r} is not synth:SEED[:NGEN] with nonnegative integers SEED and NGEN")
-        return case_io.synth_ieee118_style(*map(int, fields)), int(fields[0])
+        return case_io.synth_ieee118_style(*fields), fields[0]
     path = spec.split(":", 1)[1] if spec.startswith("file:") else spec
     return case_io.load_case(path), None
 
@@ -77,23 +81,12 @@ def _build_graph(spec, case, synth_seed, bus_lines_path):
     if spec == "complete":
         return complete_graph(n)
     if spec.startswith("file:"):
-        path = spec.split(":", 1)[1]
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"cannot read graph file {path}: {exc.strerror or exc}") from None
-        return parse_edge_list(text, n=n)
+        return parse_edge_list(case_io._read_text(spec.split(":", 1)[1], "graph file"), n=n)
     if spec == "bus-derived" or spec.startswith("bus-derived:"):
         if spec.startswith("bus-derived:"):
             bus_lines_path = spec.split(":", 1)[1]
         if bus_lines_path is not None:
-            try:
-                text = Path(bus_lines_path).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise ValueError(
-                    f"cannot read bus-lines file {bus_lines_path}: {exc.strerror or exc}"
-                ) from None
-            lines = case_io.parse_bus_lines(text)
+            lines = case_io.parse_bus_lines(case_io._read_text(bus_lines_path, "bus-lines file"))
         elif synth_seed is not None:
             lines = case_io.synth_bus_lines(synth_seed, n)
         else:
@@ -104,22 +97,30 @@ def _build_graph(spec, case, synth_seed, bus_lines_path):
     raise ValueError(f"unknown graph spec {spec!r}")
 
 
-def _parse_list(text, convert, what, noun):
-    """The comma-separated tokens of ``text`` through ``convert``; a bad token names ``what``."""
+def _parse_list(text, kind, what):
+    """The comma-separated tokens of ``text`` read by :func:`_field` as ``kind``; a bad one names ``what``."""
     values = []
     for tok in text.split(","):
         try:
-            values.append(convert(tok))
+            values.append(_field(tok, kind))
         except ValueError:
-            raise ValueError(f"{what}: {tok!r} is not {noun}") from None
+            raise ValueError(f"{what}: {tok!r} is not {'an integer' if kind is int else 'a number'}") from None
     return values
+
+
+def _int_flag(text):
+    """An integer flag's value, read by :func:`_field`; argparse reports a refusal."""
+    try:
+        return _field(text, int)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
 
 
 def _parse_shares(split):
     if split == "equal":
         return None
     if split.startswith("explicit:"):
-        return _parse_list(split.split(":", 1)[1], float, f"split spec {split!r}", "a number")
+        return _parse_list(split.split(":", 1)[1], float, f"split spec {split!r}")
     raise ValueError(f"unknown split spec {split!r} (use 'equal' or 'explicit:v1,v2,...')")
 
 
@@ -127,7 +128,7 @@ def _parse_checkpoints(text):
     """The ``--checkpoints`` flag as ints, or None when it is absent."""
     if text is None:
         return None
-    return _parse_list(text, int, f"--checkpoints {text!r}", "an integer")
+    return _parse_list(text, int, f"--checkpoints {text!r}")
 
 
 def _write_oracle_csv(path, sol):
@@ -284,11 +285,11 @@ def build_parser():
     traced.add_argument("--out", default="out", help="output directory (default: out)")
     traced.add_argument("--split", default="equal", help="equal | explicit:v1,v2,...")
     traced.add_argument("--checkpoints", default=None, help="comma-separated checkpoint iterations")
-    traced.add_argument("--bounds-upto", default=1000, type=int, help="per-iteration bound check horizon")
+    traced.add_argument("--bounds-upto", default=1000, type=_int_flag, help="per-iteration bound check horizon")
     traced.add_argument("--bus-lines", default=None, help="bus-line edge-list file for bus-derived graphs")
 
     run = sub.add_parser("run", parents=[traced], help="simulate a case and write traces, plots, and reports")
-    run.add_argument("--iters", required=True, type=int)
+    run.add_argument("--iters", required=True, type=_int_flag)
     run.set_defaults(func=_cmd_run)
 
     oracle = sub.add_parser("oracle", help="solve the centralized reference problem")
@@ -309,8 +310,8 @@ def build_parser():
     validate.add_argument("path")
     validate.set_defaults(func=_cmd_case_validate)
     synth = case_sub.add_parser("synth", help="write a deterministic synthetic case")
-    synth.add_argument("--seed", required=True, type=int)
-    synth.add_argument("--n-gen", default=case_io.SYNTH_BASE_GENERATORS, type=int)
+    synth.add_argument("--seed", required=True, type=_int_flag)
+    synth.add_argument("--n-gen", default=case_io.SYNTH_BASE_GENERATORS, type=_int_flag)
     synth.add_argument("--out", default=None)
     synth.set_defaults(func=_cmd_case_synth)
 

@@ -1,4 +1,4 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and its one rule for numbers in text.
 
 Every error message is a single line so command-line callers can relay it
 verbatim.
@@ -24,6 +24,27 @@ class ParseError(NetallocError):
         self.line = line
         self.reason = reason
         super().__init__(f"line {line}: {reason}")
+
+
+def _field(text, kind):
+    """``text`` read as numpy's reader reads an int64 (``kind`` is ``int``)
+    or a float64 (``kind`` is ``float``) field.
+
+    Every number the package reads from text, in a file or on the command
+    line, is read here. Python's ``int`` and ``float`` also take ``_``
+    between digits and non-ASCII digits, and ``int`` any size; numpy's
+    reader takes none of these.
+    """
+    stripped = text.strip()
+    try:
+        if not stripped.isascii() or "_" in stripped:
+            raise ValueError
+        value = kind(stripped)
+        if kind is int and not -(2**63) <= value < 2**63:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"could not convert {text!r} to {kind.__name__}64") from None
+    return value
 
 
 class FeasibilityError(NetallocError):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DisconnectedGraph
+from .errors import DisconnectedGraph, ParseError, _field
 
 # Absolute tolerance on each row sum of a weight matrix.
 STOCHASTIC_TOL = 1e-9
@@ -176,25 +176,32 @@ def complete_graph(n):
     return GraphTopology(n, np.stack(np.triu_indices(n, 1), axis=1))
 
 
-def parse_edge_list(text, n):
-    """Parse an edge-list file on ``n`` nodes: one ``i j`` pair per line, zero-based.
-
-    Lines starting with ``#`` and blank lines are ignored.
-    """
-    edges = []
+def _int_pairs(text, form, bad_token):
+    """``(line number, i, j)`` for each line of ``text`` that is neither blank nor
+    a ``#`` comment: two whitespace-separated integers read by :func:`_field`.
+    Else ParseError ``expected FORM, got LINE`` or ``bad_token`` formatted with
+    the ``token`` and its ``raw`` line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'i j', got {raw!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-integer node index in {raw!r}") from None
-        edges.append((i, j))
-    return GraphTopology(n, edges)
+            raise ParseError(lineno, f"expected {form!r}, got {raw!r}")
+        pair = []
+        for token in parts:
+            try:
+                pair.append(_field(token, int))
+            except ValueError:
+                raise ParseError(lineno, bad_token.format(token=token, raw=raw)) from None
+        yield lineno, *pair
+
+
+def parse_edge_list(text, n):
+    """Parse an edge-list file on ``n`` nodes: one ``i j`` pair per line, zero-based,
+    ``#`` comments and blank lines ignored."""
+    pairs = _int_pairs(text, "i j", "non-integer node index in {raw!r}")
+    return GraphTopology(n, [(i, j) for _, i, j in pairs])
 
 
 @dataclass(frozen=True, eq=False)

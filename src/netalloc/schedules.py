@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .errors import _field
+
 
 class StepSchedule:
     """Base class; concrete schedules implement ``alpha(k)``."""
@@ -143,7 +145,7 @@ def parse_schedule(spec):
         if len(parts) != 3:
             raise ValueError(f"power-law spec must be 'powerlaw:C:P', got {spec!r}")
         try:
-            return PowerLaw(float(parts[1]), float(parts[2]))
+            return PowerLaw(_field(parts[1], float), _field(parts[2], float))
         except ValueError as exc:
             raise ValueError(f"bad power-law spec {spec!r}: {exc}") from None
     raise ValueError(f"unknown schedule spec {spec!r}")

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._g17 import G17
+from .errors import _field
 from .graphs import _require_weight_matrix
 from .objectives import NodeCosts
 
@@ -356,7 +357,8 @@ def _scan_rows(path, n):
     :meth:`RunTrace.to_csv`'s layout, naming it; return None if none does.
 
     A line is empty, or five fields that numpy's reader parses (two int64,
-    three float64), with finite values, holding the next ``(k, node)`` cell.
+    three float64, by the rule :func:`_field`), with finite values, holding
+    the next ``(k, node)`` cell.
     A body that ends inside a round names its first missing cell.
     """
     rows = 0  # the next row holds the cell divmod(rows, n)
@@ -390,25 +392,6 @@ def _scan_rows(path, n):
         raise ValueError("empty trace file")
     if rows % n:
         raise ValueError("trace has no row for k=%d, node=%d" % divmod(rows, n))
-
-
-def _field(text, kind):
-    """``text`` read as numpy's reader reads an int64 (``kind`` is ``int``)
-    or a float64 (``kind`` is ``float``) field.
-
-    Python's ``int`` and ``float`` also take ``_`` between digits and
-    non-ASCII digits, and ``int`` any size; numpy's reader takes none of these.
-    """
-    stripped = text.strip()
-    try:
-        if not stripped.isascii() or "_" in stripped:
-            raise ValueError
-        value = kind(stripped)
-        if kind is int and not -(2**63) <= value < 2**63:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"could not convert {text!r} to {kind.__name__}64") from None
-    return value
 
 
 def _require_finite(x_hist, lam_hist, v_hist):

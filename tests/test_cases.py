@@ -41,17 +41,19 @@ SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=
 
 # bounded so that every sum of limits stays finite
 VALUES = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+# ids, buses and bus numbers in a file are int64; a library case may hold any int
+INT64 = st.integers(-(2**63), 2**63 - 1)
 
 
 @st.composite
 def feasible_cases(draw):
     """A feasible case whose name is one line without surrounding whitespace."""
-    ids = draw(st.lists(st.integers(), max_size=8, unique=True))
+    ids = draw(st.lists(INT64, max_size=8, unique=True))
     gens = []
     for gid in ids:
         pmin, pmax = sorted(draw(st.tuples(VALUES, VALUES)))
         gamma = draw(st.floats(min_value=0.0, max_value=1e300))
-        gens.append(GeneratorRecord(gid, draw(st.integers()), gamma, draw(VALUES), draw(VALUES), pmin, pmax))
+        gens.append(GeneratorRecord(gid, draw(INT64), gamma, draw(VALUES), draw(VALUES), pmin, pmax))
     lo = math.fsum(g.pmin for g in gens)
     hi = math.fsum(g.pmax for g in gens)
     demand = min(max(lo + draw(st.floats(0.0, 1.0)) * (hi - lo), lo), hi)
@@ -157,7 +159,7 @@ class TestRoundTrip:
         assert parse_case(serialize_case(case)) == case
 
     @SETTINGS
-    @given(st.lists(st.tuples(st.integers(), st.integers()).filter(lambda p: p[0] != p[1]).map(sorted).map(tuple)))
+    @given(st.lists(st.tuples(INT64, INT64).filter(lambda p: p[0] != p[1]).map(sorted).map(tuple)))
     def test_bus_lines_round_trip(self, pairs):
         assert parse_bus_lines(serialize_bus_lines(pairs)) == sorted(set(pairs))
 
@@ -351,6 +353,11 @@ class TestBusLinesFormat:
     def test_rejects_self_loop(self):
         with pytest.raises(ParseError, match="self-loop"):
             parse_bus_lines("2 2\n")
+
+    @pytest.mark.parametrize("bus", [2**63, -(2**63) - 1])
+    def test_rejects_bus_beyond_int64(self, bus):
+        with pytest.raises(ParseError, match=rf"^line 2: malformed integer '{bus}' for bus$"):
+            parse_bus_lines(f"1 2\n{bus} 1\n")
 
 
 def reference_synth_layout(seed, n_gen):

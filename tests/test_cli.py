@@ -56,19 +56,6 @@ class TestRun:
         )
         assert code == 0
 
-    def test_missing_case_file_fails_with_parse_error(self, tmp_path, capsys):
-        code = run_cli(
-            "run",
-            "--case", str(tmp_path / "nope.csv"),
-            "--graph", "cycle",
-            "--schedule", "recip",
-            "--iters", "10",
-            "--out", str(tmp_path / "out"),
-        )
-        assert code != 0
-        err = capsys.readouterr().err
-        assert err.startswith("error: ParseError:") and "\n" not in err.strip("\n")
-
     @pytest.mark.parametrize(
         "spec", ["synth:7:54:junk", "synth:7:", "synth:-3", "synth:", "synth:x", "synth:7:5.0", "synth:7:-5", "synth:²"]
     )
@@ -495,19 +482,109 @@ class TestGraphSpecs:
     @pytest.mark.parametrize(
         "flags, what",
         [
-            (["--graph", "file:{missing}"], "graph file"),
-            (["--graph", "bus-derived:{missing}"], "bus-lines file"),
-            (["--graph", "bus-derived", "--bus-lines", "{missing}"], "bus-lines file"),
+            (["--case", "synth:7", "--graph", "file:{missing}"], "graph file"),
+            (["--case", "synth:7", "--graph", "bus-derived:{missing}"], "bus-lines file"),
+            (["--case", "synth:7", "--graph", "bus-derived", "--bus-lines", "{missing}"], "bus-lines file"),
+            (["--case", "file:{missing}", "--graph", "cycle"], "case file"),
+            (["--case", "{missing}", "--graph", "cycle"], "case file"),
         ],
-        ids=["graph-file", "bus-derived-file", "bus-lines-flag"],
+        ids=["graph-file", "bus-derived-file", "bus-lines-flag", "case-file", "case-path"],
     )
     def test_unreadable_file_is_one_error_line(self, tmp_path, capsys, flags, what):
         missing = tmp_path / "missing.txt"
         out = tmp_path / "out"
         flags = [flag.format(missing=missing) for flag in flags]
-        code = run_cli("run", "--case", "synth:7", *flags, "--schedule", "recip", "--iters", "10", "--out", str(out))
+        code = run_cli("run", *flags, "--schedule", "recip", "--iters", "10", "--out", str(out))
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: ValueError: cannot read {what} {missing}: No such file or directory\n"
         assert not out.exists()
+
+
+class TestNumberRule:
+    """Every number the command line reads, from a file, a spec or a flag, is
+    what numpy's text reader reads as an int64 or a float64.
+
+    Each input below holds the value 5 and takes the token under test in its
+    place; each is read through ``netalloc.errors._field``.
+    """
+
+    CASE = (
+        "# demand={demand} name=toy\nid,bus,gamma,beta,mu,pmin,pmax\n"
+        "1,1,0.1,1,0,0,10\n2,2,0.1,1,0,0,10\n3,3,0.1,1,0,0,10\n4,4,0.1,1,0,0,10\n"
+        "{id},{bus},{gamma},1,0,0,10\n6,6,0.1,1,0,0,10\n"
+    )
+    EDGES = "0 1\n1 2\n2 3\n3 4\n4 {edge}\n"
+    LINES = "1 2\n2 3\n3 4\n4 {line}\n5 6\n"
+    RUN = ("run", "--case", "file:{case}", "--graph", "cycle", "--schedule", "recip-sqrt", "--iters", "10", "--out", "{out}")
+    SYNTH = ("case", "synth", "--seed", "7", "--out", "{out}.csv")
+    # name: (kind, the file slot that takes the token or None, argv); a later flag overrides an earlier one
+    INPUTS = {
+        "case-demand": (float, "demand", RUN),
+        "case-id": (int, "id", RUN),
+        "case-bus": (int, "bus", RUN),
+        "case-gamma": (float, "gamma", RUN),
+        "bus-lines": (int, "line", RUN + ("--graph", "bus-derived:{lines}")),
+        "edge-list": (int, "edge", RUN + ("--graph", "file:{edges}")),
+        "synth-seed": (int, None, RUN + ("--case", "synth:{token}")),
+        "synth-ngen": (int, None, RUN + ("--case", "synth:7:{token}")),
+        "split": (float, None, RUN + ("--split", "explicit:{token},0,0,0,0,0")),
+        "checkpoints": (int, None, RUN + ("--checkpoints", "{token}")),
+        "powerlaw": (float, None, RUN + ("--schedule", "powerlaw:{token}:1")),
+        "iters": (int, None, RUN + ("--iters", "{token}")),
+        "bounds-upto": (int, None, RUN + ("--bounds-upto", "{token}")),
+        "seed": (int, None, SYNTH + ("--seed", "{token}")),
+        "n-gen": (int, None, SYNTH + ("--n-gen", "{token}")),
+    }
+
+    def _main(self, tmp_path, capsys, name, token):
+        kind, slot, argv = self.INPUTS[name]
+        slots = dict.fromkeys(("demand", "id", "bus", "gamma", "edge", "line"), "5")
+        if slot is not None:
+            slots[slot] = token
+        paths = {"case": tmp_path / "case.csv", "edges": tmp_path / "g.txt", "lines": tmp_path / "net.lines"}
+        for (key, path), text in zip(paths.items(), (self.CASE, self.EDGES, self.LINES)):
+            path.write_text(text.format(**slots), encoding="utf-8")
+        fill = {**paths, "out": tmp_path / "out", "token": token}
+        try:
+            code = main([arg.format(**fill) for arg in argv])
+        except SystemExit as exc:  # argparse refuses a flag
+            code = exc.code
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "name, token",
+        [
+            pytest.param(name, token, id=f"{name}-{label}")
+            for name, (kind, _, _) in INPUTS.items()
+            for label, token in (("underscore", "1_0"), ("arabic-indic", "\u0661\u0662"), ("beyond-int64", str(2**63)))
+            if kind is int or label != "beyond-int64"
+        ],
+    )
+    def test_refused_in_one_line(self, tmp_path, capsys, name, token):
+        code, captured = self._main(tmp_path, capsys, name, token)
+        assert captured.out == ""
+        if code == 2:
+            usage, line = captured.err.rstrip("\n").rsplit("\n", 1)
+            assert usage.startswith("usage: ")
+            assert line.endswith(f": could not convert {token!r} to int64")
+        else:
+            assert code == 1
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert token in captured.err
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize(
+        "name, token",
+        [
+            pytest.param(name, token, id=f"{name}-{label}")
+            for name, (kind, _, _) in INPUTS.items()
+            for label, token in (("plus", "+5"), ("spaces", " 5 "), ("exponent", "5e0"))
+            # the metadata line puts no space after 'demand='
+            if (kind is float or label != "exponent") and (name, label) != ("case-demand", "spaces")
+        ],
+    )
+    def test_accepted(self, tmp_path, capsys, name, token):
+        code, captured = self._main(tmp_path, capsys, name, token)
+        assert (code, captured.err) == (0, "")

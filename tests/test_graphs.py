@@ -10,6 +10,7 @@ import pytest
 from netalloc import (
     DisconnectedGraph,
     GraphTopology,
+    ParseError,
     WeightMatrix,
     bus_derived_graph,
     complete_graph,
@@ -374,8 +375,12 @@ class TestFileFormats:
         assert parse_edge_list(written, 3).edges.tolist() == g.edges.tolist()
 
     def test_edge_list_bad_token(self):
-        with pytest.raises(ValueError, match="non-integer"):
+        with pytest.raises(ParseError, match=r"^line 1: non-integer node index in '0 x'$"):
             parse_edge_list("0 x\n", 2)
+
+    def test_edge_list_wrong_field_count(self):
+        with pytest.raises(ParseError, match=r"^line 2: expected 'i j', got '1 2 3'$"):
+            parse_edge_list("0 1\n1 2 3\n", 3)
 
     def test_edge_list_huge_index_is_out_of_range(self):
         # n bounds the indices, so a huge one is refused before any array is sized by it

@@ -71,14 +71,7 @@ def reference_check_bounds(trace, problems, A, lamstar, checkpoints=None, consen
     C = global_subgradient_bound(problems)
     lam0 = trace.lam[0]
     lam0_l1 = float(np.abs(lam0).sum())
-    report = BoundReport(
-        n=n,
-        sigma2=sigma2,
-        C=C,
-        lam0_l1=lam0_l1,
-        lamstar=float(lamstar),
-        schedule_name=getattr(sched, "name", str(sched)),
-    )
+    report = BoundReport(n=n, sigma2=sigma2, C=C, lam0_l1=lam0_l1)
 
     observed = reference_spreads(trace)[: upto + 1].tolist()
     bounds = _consensus_bounds(upto, sched.alphas(upto), sigma2, lam0_l1, C, n)
