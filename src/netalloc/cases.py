@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DisconnectedGraph, FeasibilityError, ParseError, ShareSumMismatch, _field
+from .errors import DisconnectedGraph, FeasibilityError, ParseError, ShareSumMismatch, _field, _unreadable
 from .graphs import GraphTopology, _distinct, _int_array, _int_pairs, _offsets, _pair_array, component_labels
 from .objectives import FeasibleInterval, LocalProblem, Quadratic
 
@@ -183,7 +183,7 @@ def _read_text(path, what):
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ValueError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+        raise _unreadable(what, path, exc) from None
 
 
 def load_case(path):

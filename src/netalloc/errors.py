@@ -1,4 +1,5 @@
-"""Exception types raised across the package, and its one rule for numbers in text.
+"""Exception types raised across the package, its one rule for numbers in text,
+and its one message for a file it cannot read.
 
 Every error message is a single line so command-line callers can relay it
 verbatim.
@@ -45,6 +46,11 @@ def _field(text, kind):
     except ValueError:
         raise ValueError(f"could not convert {text!r} to {kind.__name__}64") from None
     return value
+
+
+def _unreadable(what, path, exc):
+    """The ValueError ``cannot read WHAT PATH: REASON`` for the OSError ``exc``."""
+    return ValueError(f"cannot read {what} {path}: {exc.strerror or exc}")
 
 
 class FeasibilityError(NetallocError):

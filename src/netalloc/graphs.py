@@ -16,17 +16,27 @@ arrays, which the simulator's consensus round reads, so a round costs
 O(nnz), not O(n**2); its ``entries`` property rebuilds the dense matrix from
 them on each read. Building one checks that it is symmetric and that each
 row's ``math.fsum`` is one, so it is doubly stochastic, whoever built it;
-then it finds its own ``sigma2`` from a dense copy that it drops.
+then it finds its own ``sigma2``, from a dense copy that it drops only
+when its entries take no closed form.
 :func:`metropolis_weights` builds its CSR arrays straight from the edge
 array, each diagonal as one minus one ``fsum`` over the node's edge weights.
 
 The key spectral quantity is ``sigma2``, the second-largest singular value of
 ``A``: disagreement between nodes decays like ``sigma2**k``, and the bounds
-grow like ``1 / (1 - sigma2)``. For a symmetric ``A`` it comes from one
-symmetric eigensolve plus a stated margin, ``n * eps * max|lambda|``, so it
-is an estimate that errs on the safe side (too large). That takes 4.5 ms
-instead of a dense SVD's 10.4 ms on a 300-node cycle, and 62 ms instead of
-245 ms at n = 1000 (2-vCPU VM, numpy 2.4.6). See
+grow like ``1 / (1 - sigma2)``. It is never below the exact value for the
+stored doubles. The Metropolis matrices of the cycle, the path and the
+complete graph have closed-form spectra (Xiao and Boyd), so for them it
+comes from no eigensolve and no dense matrix: a complete graph's value is
+exact, and a cycle's or path's is an enclosure of its extreme eigenvalues in
+exact decimal arithmetic, rounded up, whose budget is ``math.sin``'s assumed
+error of :data:`SIN_ERROR_ULPS` ulps plus ``2**-51`` of each sine's
+argument; it lands 0 to 3.2 ulps above the exact value from 3 to 2000
+nodes. That takes 0.08 ms where the eigensolve took 3 ms on a 300-node
+cycle, and its bits follow neither the BLAS nor its thread count. Every other
+symmetric matrix takes one eigensolve plus a stated margin,
+``n * eps * max|lambda|``, an estimate that errs on the safe side (too
+large): 4.5 ms instead of a dense SVD's 10.4 ms on a 300-node cycle, and
+62 ms instead of 245 ms at n = 1000 (2-vCPU VM, numpy 2.4.6). See
 :func:`second_largest_singular_value`.
 """
 
@@ -34,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, Inexact, localcontext, MAX_EMAX, MAX_PREC, MIN_EMIN
 
 import numpy as np
 
@@ -41,6 +52,17 @@ from .errors import DisconnectedGraph, ParseError, _field
 
 # Absolute tolerance on each row sum of a weight matrix.
 STOCHASTIC_TOL = 1e-9
+
+# Assumed bound on the error of ``math.sin``, in ulps of its result. C library
+# sines keep within about one ulp of the exact value, and one ulp of the exact
+# value is at most two of a result that close. tests/test_graphs.py checks one
+# ulp against 50-digit sines of pi p / q, p / q < 1/2: every p for eight q up
+# to 200, and 300 drawn pairs with q up to 8000.
+SIN_ERROR_ULPS = 2
+
+# Sums and products of finite decimals at the largest precision are exact;
+# the trap makes a rounded one raise instead of passing unseen.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,10 +240,14 @@ class WeightMatrix:
         ``indices[indptr[i]:indptr[i+1]]``, in increasing order, so no row is
         empty.
     sigma2 : float
-        Second-largest singular value, found here, never passed in:
-        :func:`second_largest_singular_value` of :attr:`entries`, a safe-side
-        estimate, at most ``n * eps * max|lambda|`` above the exact value
-        plus the solver's error.
+        Second-largest singular value, found here, never passed in, with the
+        bits of :func:`second_largest_singular_value` of :attr:`entries`: from
+        the stored nonzero entries alone when they are a cycle's, a path's or
+        a complete graph's (exact for the complete graph, and for the others
+        an upper bound within the closed form's budget of ``math.sin``'s
+        assumed error), else from :attr:`entries` by one eigensolve, a
+        safe-side estimate at most ``n * eps * max|lambda|`` above the exact
+        value plus the solver's error.
 
     Building one, directly or through ``dataclasses.replace``, checks it with
     O(nnz) array operations, one ``math.fsum`` per row and one sort, and
@@ -281,7 +307,13 @@ class WeightMatrix:
             raise ValueError(f"weights must be symmetric: entry ({i},{j}) is {here} but ({j},{i}) is {there}")
         for array in (indptr, indices, data):
             array.setflags(write=False)
-        sigma2 = second_largest_singular_value(self.entries)
+        triplets = rows, indices, data
+        if np.count_nonzero(data) < len(data):  # an explicit zero is no entry
+            stored = data != 0.0
+            triplets = tuple(a[stored] for a in triplets)
+        sigma2 = _closed_form_sigma2(n, *triplets)
+        if sigma2 is None:
+            sigma2 = _eigvalsh_sigma2(self.entries)
         if not sigma2 < 1.0:
             raise ValueError(f"sigma2 must lie below 1, got {sigma2!r}")
         object.__setattr__(self, "sigma2", sigma2)
@@ -340,17 +372,17 @@ def metropolis_weights(g):
 
 
 def second_largest_singular_value(a):
-    """Second-largest singular value of a symmetric matrix, as a safe-side estimate.
+    """Second-largest singular value of a symmetric matrix, never below the exact value.
 
     A symmetric matrix has the absolute values of its eigenvalues as
-    singular values. The value is the second-largest ``|lambda|`` from one
-    ``np.linalg.eigvalsh`` plus the margin ``n * eps * max|lambda|``. That is
-    LAPACK's error bound for symmetric eigenvalues, ``p(n) * eps * ||A||_2``
-    (LAPACK Users' Guide, section 4.7.1), with ``p(n) = n``, so the value errs
-    on the safe side (too large). On Metropolis cycles and paths of 54 to
-    1000 nodes the margin was 100 to 10,000 times the solver's error, against
-    their closed-form spectra at 40 digits. A matrix that is not exactly
-    symmetric (``a == a.T``) raises ``ValueError``.
+    singular values. Its nonzero entries go to :func:`_closed_form_sigma2`
+    first, the same entries in the same order as a :class:`WeightMatrix`
+    gives it, so both find the same bits. On a cycle's, a path's or a
+    complete graph's entries that gives the closed form: exact for the
+    complete graph, and for the others at most the enclosure's width above
+    the exact value, 0 to 3.2 ulps on Metropolis cycles and paths of 3 to
+    2000 nodes. Every other matrix takes :func:`_eigvalsh_sigma2`. A matrix that
+    is not exactly symmetric (``a == a.T``) raises ``ValueError``.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -358,5 +390,151 @@ def second_largest_singular_value(a):
         raise ValueError("sigma2 needs a matrix of order >= 2")
     if not np.array_equal(a, a.T):
         raise ValueError("sigma2 needs a symmetric matrix")
+    sigma2 = None
+    if np.count_nonzero(a) in _family_sizes(n):  # else gathering the entries is wasted
+        rows, cols = np.nonzero(a)
+        sigma2 = _closed_form_sigma2(n, rows, cols, a[rows, cols])
+    return _eigvalsh_sigma2(a) if sigma2 is None else sigma2
+
+
+def _eigvalsh_sigma2(a):
+    """The second-largest ``|lambda|`` of the symmetric ``a`` from one
+    ``np.linalg.eigvalsh``, plus the margin ``n * eps * max|lambda|``.
+
+    That is LAPACK's error bound for symmetric eigenvalues,
+    ``p(n) * eps * ||A||_2`` (LAPACK Users' Guide, section 4.7.1), with
+    ``p(n) = n``, so the value errs on the safe side (too large). On
+    Metropolis cycles and paths of 54 to 1000 nodes the margin was 100 to
+    10,000 times the solver's error, against their closed-form spectra at 40
+    digits. Its last bits follow the BLAS thread count at n >= 300.
+    """
     mags = np.sort(np.abs(np.linalg.eigvalsh(a)))
-    return float(mags[-2] + n * np.finfo(float).eps * mags[-1])
+    return float(mags[-2] + len(a) * np.finfo(float).eps * mags[-1])
+
+
+def _closed_form_sigma2(n, rows, cols, values):
+    """``sigma2`` of the symmetric ``n x n`` matrix whose nonzero entries are
+    ``values`` at ``(rows, cols)``, in row-major order, when the matrix is one
+    of three families, else None:
+
+    - complete graph: ``d`` on the diagonal and ``w`` everywhere else; its
+      eigenvalues are ``d + (n - 1) w`` and ``d - w``, so ``sigma2`` is
+      ``|d - w|`` (at n = 2 the smaller of ``|d + w|`` and ``|d - w|``),
+      rounded up, which is exact when ``d`` and ``w`` lie within a factor of
+      two of each other (Sterbenz), as on every Metropolis complete graph. It
+      takes precedence at n <= 3, where the cycle and the path on 2 nodes and
+      the cycle on 3 are complete graphs;
+    - cycle: ``d`` on the diagonal and ``w`` at every ``(i, i +- 1 mod n)``,
+      with ``lambda_k = (d + 2w) - 4w sin**2(pi k / n)``;
+    - path: ``d`` on the inner diagonal, ``w`` at every ``(i, i +- 1)`` and
+      ``d + w``, rounded, at both ends. With exactly ``d + w`` there,
+      ``lambda_k = (d + 2w) - 4w sin**2(pi k / (2n))``; the rounding, at most
+      half an ulp, is added to the bound (Weyl's inequality for singular
+      values). A Metropolis path stores ``1 - w``, which is ``d + w`` rounded.
+
+    Any other count of entries is refused before anything is read, so a
+    matrix such as a bus-derived graph's costs one comparison here.
+    """
+    nnz = len(values)
+    if n < 2 or nnz not in _family_sizes(n):
+        return None
+    d, w = float(values[0]), float(values[1])
+    if not (math.isfinite(d) and math.isfinite(w)):
+        return None
+    if nnz == n * n:  # unique positions, so every entry is stored
+        # the diagonal is all d, so only the off-diagonal entries can equal w
+        if not ((values[:: n + 1] == d).all() and np.count_nonzero(values == w) == n * n - n * (d != w)):
+            return None
+        with localcontext(_EXACT):
+            d, w = Decimal(d), Decimal(w)
+            return _round_up(min(abs(d + w), abs(d - w)) if n == 2 else abs(d - w))
+    cycle = nnz == 3 * n
+    band = np.arange(n)[:, None] + np.array([-1, 0, 1])  # row i's columns i-1, i, i+1
+    if cycle:
+        band = np.sort(band % n, axis=1)
+    inside = (band >= 0) & (band < n)
+    if not (np.array_equal(rows, np.nonzero(inside)[0]) and np.array_equal(cols, band[inside])):
+        return None
+    e = d  # row 0 holds d and w on a cycle, an end and w on a path
+    if not cycle:
+        d = float(values[3])  # (1, 1)
+        if e != d + w:  # so d is finite too
+            return None
+    expected = np.where(rows == cols, d, w)
+    expected[[0, -1]] = e
+    if not np.array_equal(values, expected):
+        return None
+    with localcontext(_EXACT):
+        d, w = Decimal(d), Decimal(w)
+        # a path's ends are d + w rounded; that rounding moves no singular
+        # value by more than its size (Weyl)
+        rounding = 0 if cycle else abs(Decimal(e) - d - w)
+        return _round_up(_tridiagonal_sigma2(n, d, w, cycle) + rounding)
+
+
+def _family_sizes(n):
+    """The entry counts of a complete graph, a cycle and a path on ``n`` nodes."""
+    return n * n, 3 * n, 3 * n - 2
+
+
+def _tridiagonal_sigma2(n, d, w, cycle):
+    """A Decimal upper bound on the second-largest ``|lambda_k|`` of the cycle or
+    the path with diagonal ``d`` and off-diagonal ``w`` (Decimals), whose ends
+    hold exactly ``d + w``.
+
+    With ``q = n`` for the cycle and ``2n`` for the path,
+    ``lambda_k = (d + 2w) - 4w sin**2(pi k / q) = d + 2w sin(pi (q - 4k) / (2q))``.
+    ``|lambda|`` is convex in ``s = sin**2``, so the two largest ``|lambda_k|``
+    lie among the two smallest and the two largest ``s_k``, and only those
+    ``k`` are evaluated, each as an upper bound: their second largest is at
+    least ``sigma2``. A cycle's ``lambda_k`` is its ``lambda_(n-k)``.
+    """
+    if cycle:
+        q, m = n, n // 2
+        ks = {0, 1, n - 1, m - 1, m, m + 1}  # all in [0, n), as n >= 4
+    else:
+        q, ks = 2 * n, {0, 1, n - 2, n - 1}
+    bounds = {r: _abs_eigenvalue_bound(d, w, r, q) for r in {min(k, q - k) for k in ks}}
+    return sorted(bounds[min(k, q - k)] for k in ks)[-2]
+
+
+def _abs_eigenvalue_bound(d, w, k, q):
+    """An upper bound on ``|lambda|``, ``lambda = (d + 2w) - 4w sin**2(pi k / q)``,
+    ``0 <= k <= q / 2``, from the intersection of two enclosures of ``lambda``:
+    the sine bounds of :func:`_sin_pi` put through both of its forms. The
+    first is the narrower for small ``k / q``, the second elsewhere."""
+    s_lo, s_hi = _sin_pi(k, q)
+    c = d + 2 * w
+    first = (c - 4 * w * s_lo * s_lo, c - 4 * w * s_hi * s_hi)
+    t_lo, t_hi = _sin_pi(q - 4 * k, 2 * q)
+    second = (d + 2 * w * t_lo, d + 2 * w * t_hi)
+    lo, hi = max(min(first), min(second)), min(max(first), max(second))
+    return max(-lo, hi)
+
+
+def _sin_pi(p, q):
+    """Decimal bounds ``(lo, hi)`` on ``sin(pi p / q)``, for ``|p / q| <= 1/2``.
+
+    0, 1/2 and 1, the only rational sines of rational multiples of pi
+    (Niven), are exact. Otherwise ``theta = math.pi * p / q`` is within
+    ``2.4 * 2**-53 * theta`` of ``pi p / q`` (math.pi's error and two
+    roundings), and the sine moves by at most that much, so the bounds are
+    ``math.sin(theta)`` widened by ``2**-51 * theta`` and by
+    :data:`SIN_ERROR_ULPS` ulps of the result, then clipped to ``[0, 1]``.
+    """
+    if p < 0:
+        lo, hi = _sin_pi(-p, q)
+        return -hi, -lo
+    if p == 0 or 2 * p == q or 6 * p == q:
+        exact = Decimal(0 if p == 0 else 1 if 2 * p == q else "0.5")
+        return exact, exact
+    theta = math.pi * p / q
+    s = math.sin(theta)
+    err = Decimal(theta * 2.0**-51) + SIN_ERROR_ULPS * Decimal(math.ulp(s))
+    return max(Decimal(s) - err, Decimal(0)), min(Decimal(s) + err, Decimal(1))
+
+
+def _round_up(x):
+    """The smallest double at or above the Decimal ``x``."""
+    f = float(x)  # the nearest double
+    return f if Decimal(f) >= x else math.nextafter(f, math.inf)

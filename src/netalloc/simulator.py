@@ -16,12 +16,14 @@ as a validated :class:`~netalloc.graphs.WeightMatrix`, and step 1 is one CSR
 round in both: the products ``a_ij * lam_j`` over the matrix's stored entries
 (its ``data``, with ``indices`` and ``indptr``), then one ``np.add.reduceat``
 segment per row, so a round costs O(nnz), not O(n**2). :func:`run_dlm` writes
-``v``, ``x`` and ``lam`` straight into its history rows and keeps the products
-in one buffer, so a round allocates nothing. On a 2-vCPU VM with numpy 2.4.6 a
+``v``, ``x`` and ``lam`` straight into its history rows, keeps the products
+in one buffer and gathers through one writeable copy of ``indices``, taken
+once per run, so a round allocates nothing. On a 2-vCPU VM with numpy 2.4.6 a
 whole round (consensus, primal and dual step) took about 35 us on
 ``synth:7:300`` over a cycle (900 nonzeros), 60 us on a 1000-node cycle and
-20 us on ``synth:7``'s bus-derived graph (54 nodes, 1,292 nonzeros). On the
-1000-node bus-derived graph, 49 % dense, it took 2.4 ms.
+9 us on ``synth:7``'s bus-derived graph (54 nodes, 1,292 nonzeros). On the
+1000-node bus-derived graph, 49 % dense, it took 0.77 ms, against 1.08 ms
+when ``take`` copied the read-only ``indices`` in every round.
 
 The primal step of a round and the cost terms of :meth:`RunTrace.lagrangians`
 and :meth:`RunTrace.total_cost` go through
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._g17 import G17
-from .errors import _field
+from .errors import _field, _unreadable
 from .graphs import _require_weight_matrix
 from .objectives import NodeCosts
 
@@ -112,7 +114,7 @@ def consensus_step(A, lams):
     lams = np.asarray(lams, dtype=float)
     if lams.shape != (A.n,):
         raise ValueError(f"multiplier vector shape {lams.shape} does not match matrix {(A.n, A.n)}")
-    return _average(A.indptr, A.indices, A.data, lams, np.empty(lams.shape), np.empty(A.data.shape))
+    return _average(A.indptr, A.indices.copy(), A.data, lams, np.empty(lams.shape), np.empty(A.data.shape))
 
 
 def _average(indptr, indices, data, lam, out, buf):
@@ -120,7 +122,9 @@ def _average(indptr, indices, data, lam, out, buf):
 
     ``buf`` holds the ``nnz`` products; ``np.add.reduceat`` sums each row's
     segment of them, in a fixed order. Every row has a stored entry (its
-    diagonal), so no segment is empty.
+    diagonal), so no segment is empty. ``indices`` must be writeable: given a
+    read-only index array, as a :class:`~netalloc.graphs.WeightMatrix` holds
+    it, numpy 2.4's ``take`` copies it on every call.
     """
     lam.take(indices, out=buf, mode="clip")  # indices are in range; "clip" skips a buffer
     np.multiply(data, buf, out=buf)
@@ -228,7 +232,9 @@ class RunTrace:
         The file must hold the layout :meth:`to_csv` writes: after the
         header, rounds ``k = 0 .. T`` in order, each with nodes ``0 .. n-1``
         in order, every value finite. Only empty lines are skipped. ``x``,
-        ``lam`` and ``v`` are views of the parsed rows, not copies.
+        ``lam`` and ``v`` are views of the parsed rows, not copies. A file
+        that cannot be opened raises ValueError ``cannot read trace file
+        PATH: REASON``.
 
         The body is read by one call to numpy's C text reader
         (:func:`numpy.loadtxt`), which decides what parses, and one
@@ -242,7 +248,11 @@ class RunTrace:
         n = len(problems)
         if n < 1:
             raise ValueError("need at least 1 node, got 0")
-        with open(path, "r", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "r", encoding="utf-8")
+        except OSError as exc:
+            raise _unreadable("trace file", path, exc) from None
+        with fh:
             header = fh.readline().strip()
             if header != "k,node,x,lambda,v":
                 raise ValueError(f"unexpected trace header {header!r}")
@@ -426,7 +436,7 @@ def run_dlm(problems, A, sched, iters, init_lams=None):
     _require_weight_matrix(A)
     if A.n != n:
         raise ValueError(f"weight matrix shape {(A.n, A.n)} does not match {n} problems")
-    indptr, indices, data = A.indptr, A.indices, A.data
+    indptr, indices, data = A.indptr, A.indices.copy(), A.data  # a writeable copy: see _average
     b = np.array([p.share for p in problems], dtype=float)
     if init_lams is None:
         lam = np.zeros(n)

@@ -300,6 +300,22 @@ class TestBounds:
             "error: ValueError: line 7: expected the row for k=1, node=0, got k=0, node=5\n"
         )
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_trace_is_one_error_line(self, tmp_path, capsys, kind):
+        # the form every unreadable input file takes, as for a case file
+        trace = tmp_path / "missing.csv"
+        reason = "No such file or directory"
+        if kind == "directory":
+            trace, reason = tmp_path, "Is a directory"
+        out = tmp_path / "replay"
+        argv = ("--case", "builtin:ieee14", "--graph", "cycle", "--schedule", "recip-sqrt")
+        code = run_cli("bounds", *argv, "--trace", str(trace), "--out", str(out))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: cannot read trace file {trace}: {reason}\n"
+        assert not out.exists()
+
     def test_negative_bound_horizon_is_one_error_line(self, tmp_path, capsys):
         argv = ("--case", "builtin:ieee14", "--graph", "cycle", "--schedule", "recip-sqrt")
         code = run_cli("run", *argv, "--iters", "50", "--bounds-upto", "-5", "--out", str(tmp_path / "bad"))

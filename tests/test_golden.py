@@ -29,7 +29,7 @@ GOLDEN = {
         "trace.csv": "7c2f10e98494037cc38f04d9cd9f70e8ef98cfe11af2ef89ff472c3604639a4d",
         "summary.csv": "f46ce38d4f8d189f5be937155fb1d57b4e5b9636d9afc24fd763d2a611caee7a",
         "oracle.csv": "98127f46de85bddb45be976ca5a15017bf8fd47106b9b40ae7d96886ac906053",
-        "bounds.csv": "c4f6497d390b897372dd658a25b60134352c27b42301ae203a7f6f9a3abada06",
+        "bounds.csv": "a4caf91bcfd9b8439c5d493e3855450a60c7b7ad91f345eae6ab976663ecd1b3",
         "alloc.svg": "4c664b367f5d60bf79c07a622336f86d0d4de8465c094ef412024dd9ed1470ef",
         "multipliers.svg": "28d21e3c76d1960f1e0bf8cbf51c0cbc0c23da5b9b4790bc2ff97cbbc4cf89e8",
         "residual.svg": "323e4e33f80a0ffff5641c298da021c4646ce3aba2aea2ac015217117512d469",
@@ -38,7 +38,7 @@ GOLDEN = {
         "trace.csv": "64da27049ed7d91d1be578383abd17ed914ccaadabea44e91bbc85e43bdb0de4",
         "summary.csv": "d387c151e488e9ee1c4306e3974def73dd420de96a21b66382b1efbea48f0d7f",
         "oracle.csv": "6f4af972303edff79bfeda0a2ab0239dd70a0e280338f05100d2cd43dd446727",
-        "bounds.csv": "c84486982f22f209b51ec84a129f7430fb8d051cb0a6ba35e47b373d214be8ff",
+        "bounds.csv": "30a39d58c559c07ba2bc65f395be7cbbc9416ce45e3a49ffd5d2bf9d22ae72db",
         "alloc.svg": "ac27e6c828cb59db1dafbdd6448743d563f6aba2e968732e02e1c61c665a903e",
         "multipliers.svg": "c06567c842318e99e17632efcac164249b35e7b09a77dede6c3d8a72ff583036",
         "residual.svg": "a82617a4a80c73921ee9c1018671f0743955cb96af4e489fd249a3bc114043f5",

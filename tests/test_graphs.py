@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import re
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,10 +24,73 @@ from netalloc import (
     synth_bus_lines,
     synth_ieee118_style,
 )
-from netalloc.graphs import component_labels
+from netalloc.graphs import _closed_form_sigma2, component_labels
 from conftest import SUITE_SEED, csr_fields, random_connected_graph
 
 EPS = np.finfo(float).eps
+
+
+# pi to 60 digits, for the 50-digit references below
+PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def decimal_cos(x):
+    """``cos(x)`` for a Decimal ``0 <= x <= pi`` by its Taylor series, in the caller's context."""
+    term = total = Decimal(1)
+    k = 0
+    while abs(term) > Decimal("1e-65"):
+        k += 2
+        term = -term * x * x / (k * (k - 1))
+        total += term
+    return total
+
+
+def cycle_reference(a):
+    """The second-largest ``|lambda|`` of a cycle's stored matrix ``a``, to 50
+    digits: its diagonal ``d`` and neighbour weight ``w`` give every
+    eigenvalue, ``d + 2w cos(2 pi k / n)``."""
+    n = len(a)
+    d, w = float(a[0, 0]), float(a[0, 1])
+    i = np.arange(n)
+    assert np.count_nonzero(a) == 3 * n and (a[i, i] == d).all()
+    assert (a[i, i - 1] == w).all() and (a[i - 1, i] == w).all()  # (0, n - 1) and (n - 1, 0) too
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d, w = Decimal(d), Decimal(w)
+        mags = sorted(abs(d + 2 * w * decimal_cos(2 * PI * min(k, n - k) / n)) for k in range(n))
+    return mags[-2]
+
+
+def tridiagonal_reference(a):
+    """The second-largest ``|lambda|`` of the stored tridiagonal matrix ``a``,
+    to within 1e-40, from Sturm counts in 60-digit arithmetic: bisection on
+    the number of eigenvalues with ``|lambda| >= t``."""
+    n = len(a)
+    diag, off = np.diagonal(a).tolist(), np.diagonal(a, 1)
+    assert np.count_nonzero(a) == np.count_nonzero(diag) + 2 * np.count_nonzero(off)
+    assert np.array_equal(off, np.diagonal(a, -1))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        diag = [Decimal(x) for x in diag]
+        off2 = [Decimal(x) ** 2 for x in off.tolist()]
+
+        def below(x):  # how many eigenvalues lie below x
+            count, q = 0, Decimal(1)
+            for i, di in enumerate(diag):
+                q = di - x - (off2[i - 1] / q if i else 0)
+                if q == 0:
+                    q = Decimal("1e-70")
+                count += q < 0
+            return count
+
+        lo, hi = Decimal(0), Decimal(2)  # |lambda| <= max row sum <= 2
+        while hi - lo > Decimal("1e-40"):
+            t = (lo + hi) / 2
+            if (n - below(t)) + below(-t) >= 2:  # at least two |lambda| >= t, up to a tie at t
+                lo = t
+            else:
+                hi = t
+    return lo, hi
 
 
 def eigvalsh_sigma2(a):
@@ -263,18 +328,24 @@ class TestWeightMatrixForm:
         self.refuses_its_computed_sigma2(np.eye(5))
 
     @pytest.mark.parametrize(
-        "graph",
+        "graph, sizes",
         [
-            pytest.param(lambda: cycle_graph(54), id="cycle"),
-            pytest.param(lambda: path_graph(54), id="path"),
-            pytest.param(lambda: complete_graph(54), id="complete"),
-            pytest.param(lambda: bus_derived_graph(synth_ieee118_style(7), synth_bus_lines(7)), id="synth:7-bus-derived"),
+            pytest.param(cycle_graph, (2, 3, 4, 5, 7, 54, 301), id="cycle"),
+            pytest.param(path_graph, (2, 3, 4, 5, 7, 54, 301), id="path"),
+            pytest.param(complete_graph, (2, 3, 4, 5, 7, 54, 301), id="complete"),
+            pytest.param(
+                lambda n: bus_derived_graph(synth_ieee118_style(7), synth_bus_lines(7)), (54,), id="synth:7-bus-derived"
+            ),
+            pytest.param("random", (2, 3, 4, 5, 7, 20, 54), id="random"),
         ],
     )
-    def test_sigma2_is_that_of_its_entries(self, graph):
-        # bit for bit, as the benchmark's traced run checks it
-        w = metropolis_weights(graph())
-        assert w.sigma2 == second_largest_singular_value(w.entries) < 1.0
+    def test_sigma2_is_that_of_its_entries(self, graph, sizes, suite_rng):
+        # bit for bit, as the benchmark's traced run checks it, whether it
+        # comes from a closed form or from the eigensolve
+        for n in sizes:
+            g = random_connected_graph(suite_rng, n, 0.1) if graph == "random" else graph(n)
+            w = metropolis_weights(g)
+            assert w.sigma2 == second_largest_singular_value(w.entries) < 1.0
 
 
 class TestSigma2:
@@ -315,28 +386,107 @@ class TestSigma2:
         for n in (54, 300):
             assert metropolis_weights(complete_graph(n)).sigma2 == pytest.approx(0.0, abs=1e-12)
 
-    # Metropolis weights put e = a[0, 1] = 1/3 (rounded) on every edge of a
-    # cycle or path (n >= 3) and d on the inner diagonal; a path's ends hold
-    # d + e bitwise. So the spectra of these float matrices are exactly
-    # d + 2e cos(2 pi k/n) and d + 2e cos(pi k/n), and sigma2 lies at or above
-    # the k = 1 value by the margin n * eps, give or take a few roundings of the
-    # solver and of ``closed``.
-    @pytest.mark.parametrize("n", [54, 100, 300, 1000])
+    # The closed forms against 50-digit references of the stored matrices'
+    # spectra: never below, and at most 8 ulps above. Metropolis weights put
+    # w = 1/3, rounded, on every edge; a cycle's diagonal is 1 - 2w, exactly,
+    # and a path's ends are 1 - w, rounded, half an ulp off d + w.
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 54, 100, 300, 1000, 2000])
     def test_cycle_closed_form(self, n):
         w = metropolis_weights(cycle_graph(n))
-        a = w.entries
-        closed = a[0, 0] + 2.0 * a[0, 1] * math.cos(2.0 * math.pi / n)
-        assert closed + (n - 4) * EPS <= w.sigma2 <= closed + (n + 4) * EPS
+        reference = cycle_reference(w.entries)
+        ulp = Decimal(math.ulp(float(reference)))
+        assert reference - Decimal("1e-45") <= Decimal(w.sigma2) <= reference + 8 * ulp
         assert abs(w.sigma2 - (1.0 / 3.0 + 2.0 / 3.0 * math.cos(2.0 * math.pi / n))) <= 1e-12
 
-    @pytest.mark.parametrize("n", [54, 100, 300, 1000])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 54, 100, 300, 1000, 2000])
     def test_path_closed_form(self, n):
         w = metropolis_weights(path_graph(n))
         a = w.entries
         assert a[0, 0] == a[1, 1] + a[0, 1] == a[n - 1, n - 1]
-        closed = a[1, 1] + 2.0 * a[0, 1] * math.cos(math.pi / n)
-        assert closed + (n - 4) * EPS <= w.sigma2 <= closed + (n + 4) * EPS
+        lo, hi = tridiagonal_reference(a)
+        ulp = Decimal(math.ulp(float(hi)))
+        assert lo <= Decimal(w.sigma2) <= hi + 8 * ulp
         assert abs(w.sigma2 - (1.0 / 3.0 + 2.0 / 3.0 * math.cos(math.pi / n))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "family, d, w, n",
+        [
+            ("cycle", 0.125, 0.4375, 4),  # lambda_(n/2) = -0.75 leads lambda_1
+            ("cycle", 0.125, 0.4375, 6),
+            ("cycle", 0.125, 0.4375, 7),
+            ("cycle", 0.5, -0.25, 5),  # spectrum in [0, 1], lambda_0 = 0
+            ("cycle", 0.5, -0.25, 8),
+            ("path", -0.25, 0.5, 3),  # lambda_(n-1) leads, lambda_0 = 0.75 comes second
+            ("path", -0.25, 0.5, 4),
+            ("path", -0.25, 0.5, 9),
+            ("path", 0.125, 0.4375, 5),
+        ],
+    )
+    def test_closed_forms_of_other_weights(self, family, d, w, n, monkeypatch):
+        # any weights of the three shapes, not only Metropolis ones, where the
+        # two largest |lambda_k| sit at either end of the spectrum
+        a = d * np.eye(n) + w * (np.eye(n, k=1) + np.eye(n, k=-1))
+        if family == "cycle":
+            a[0, n - 1] = a[n - 1, 0] = w
+        else:
+            a[0, 0] = a[n - 1, n - 1] = d + w
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        sigma2 = second_largest_singular_value(a)
+        if family == "cycle":
+            lo = hi = cycle_reference(a)
+        else:
+            lo, hi = tridiagonal_reference(a)
+        assert lo - Decimal("1e-45") <= Decimal(sigma2) <= hi + 8 * Decimal(math.ulp(float(hi)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 54, 300])
+    def test_complete_graph_is_exact(self, n):
+        w = metropolis_weights(complete_graph(n))
+        d, off = w.entries[0, 0], w.entries[0, 1]
+        assert Fraction(w.sigma2) == abs(Fraction(d) - Fraction(off))
+
+    @pytest.mark.parametrize("graph", [cycle_graph, path_graph, complete_graph], ids=["cycle", "path", "complete"])
+    def test_the_three_families_take_no_eigensolve(self, graph, monkeypatch):
+        def refuse(a):
+            raise AssertionError("eigvalsh reached")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for n in (2, 3, 4, 5, 6, 54, 300):
+            w = metropolis_weights(graph(n))
+            assert second_largest_singular_value(w.entries) == w.sigma2 < 1.0
+
+    def test_a_cycle_one_ulp_off_takes_the_eigensolve(self, monkeypatch):
+        n = 12
+        a = metropolis_weights(cycle_graph(n)).entries.copy()
+        a[0, 1] = a[1, 0] = np.nextafter(a[0, 1], 1.0)  # still symmetric and stochastic to 1e-9
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(len(m)) or eigvalsh(m))
+        sigma2 = WeightMatrix(**csr_fields(a)).sigma2
+        assert calls == [n]
+        mags = np.sort(np.abs(eigvalsh(a)))
+        assert sigma2 == second_largest_singular_value(a) == float(mags[-2] + n * EPS * mags[-1])
+        assert calls == [n, n]
+
+    def test_other_entry_counts_are_refused_unread(self):
+        # the count alone turns a matrix away: neither positions nor values are read
+        g = bus_derived_graph(synth_ieee118_style(7), synth_bus_lines(7))
+        nnz = len(metropolis_weights(g).data)
+        assert nnz not in (g.n**2, 3 * g.n, 3 * g.n - 2)
+        assert _closed_form_sigma2(g.n, None, None, np.empty(nnz)) is None
+
+    def test_math_sin_is_within_one_ulp(self, suite_rng):
+        # SIN_ERROR_ULPS assumes two ulps of the result; check one ulp of pi p / q,
+        # 0 < p / q < 1/2, against the 50-digit cosine of pi/2 - pi p / q
+        pairs = [(p, q) for q in (8, 10, 12, 16, 20, 24, 108, 200) for p in range(1, (q + 1) // 2)]
+        qs = suite_rng.integers(3, 8001, 300)
+        pairs += [(int(suite_rng.integers(1, (q + 1) // 2)), int(q)) for q in qs]
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for p, q in pairs:
+                theta = math.pi * p / q
+                s = math.sin(theta)
+                exact = decimal_cos(PI / 2 - Decimal(theta))
+                assert abs(Decimal(s) - exact) <= Decimal(math.ulp(s)), (p, q)
 
     def test_negative_eigenvalue_counts_by_its_magnitude(self):
         # eigenvalues 1 and -0.5 exactly, so the singular values are 1 and 0.5

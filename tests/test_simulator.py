@@ -1,6 +1,7 @@
 """Simulator rounds, traces, and their invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from netalloc import (
     RunTrace,
     builtin_ieee14,
     check_bounds,
+    complete_graph,
     consensus_step,
     cycle_graph,
     lagrangian_value,
@@ -25,6 +27,8 @@ from netalloc import (
     solve_centralized,
     to_problems,
 )
+from netalloc import simulator
+from netalloc.objectives import NodeCosts
 from conftest import random_connected_graph, random_quadratic_instance
 
 
@@ -225,6 +229,44 @@ class TestRunDlm:
         for x, v in zip(trace.x[1:], trace.v[1:]):
             expected = [primal_argmin(p, vi) for p, vi in zip(problems, v.tolist())]
             assert x.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("flat_every", [None, 3], ids=["quadratic", "every-third-flat"])
+    def test_rounds_allocate_nothing(self, suite_rng, monkeypatch, flat_every):
+        # Under tracemalloc, from the first round's primal step to the check
+        # after the last round, with every history row already allocated. A
+        # read-only index array would cost a copy of its 819,200 bytes in
+        # every round's gather; the run takes one writeable copy up front.
+        # Flat nodes take their interval ends through a few temporaries of
+        # one float per flat node (about 5.7 kB for 107 of them).
+        A = metropolis_weights(complete_graph(320))  # 102,400 stored entries
+        problems, _ = random_quadratic_instance(suite_rng, n=320)
+        if flat_every:
+            problems = [
+                LocalProblem(Quadratic(0.0, p.cost.beta, p.cost.mu), p.interval, p.share) if i % flat_every == 0 else p
+                for i, p in enumerate(problems)
+            ]
+        flat = sum(p.cost.gamma == 0.0 for p in problems)
+        window = {}
+        argmin, require_finite = NodeCosts.argmin, simulator._require_finite
+
+        def first_argmin(self, v, out=None):
+            if not window:
+                window["start"] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            return argmin(self, v, out=out)
+
+        def end(*hists):
+            window["peak"] = tracemalloc.get_traced_memory()[1]
+            return require_finite(*hists)
+
+        monkeypatch.setattr(NodeCosts, "argmin", first_argmin)
+        monkeypatch.setattr(simulator, "_require_finite", end)
+        tracemalloc.start()
+        try:
+            run_dlm(problems, A, RecipSqrt(), 50)
+        finally:
+            tracemalloc.stop()
+        assert window["peak"] - window["start"] <= 4096 + 40 * flat
 
     def test_converges_to_oracle(self, suite_rng):
         problems, total = random_quadratic_instance(suite_rng, n=5)
