@@ -17,11 +17,11 @@ in fixed notation, ``-4 <= E <= 16``, is formatted in numpy:
 4. Three little-endian uint64 words hold the digits from byte 0; the bytes
    after the integer digits move up one byte for the point, or ``1 - E``
    bytes for ``0.000``; all move up one for a sign; what follows the last
-   kept digit is cleared. ``.view("S24").tolist()`` reads them out.
+   kept digit is cleared. ``.view("S24")`` reads them as NUL-padded cells.
 
-Every other value, zeros, infinities, NaN and exponential notation, goes
-through Python's own ``b"%.17g" % v``, so its bytes are Python's by
-construction.
+Every other value, zeros, infinities, NaN and exponential notation, takes
+Python's own ``b"%.17g" % v``, assigned to its cell, so its bytes are
+Python's by construction; none is over 24 bytes (``-2.2250738585072014e-308``).
 """
 
 import numpy as np
@@ -84,8 +84,8 @@ def _shift_up(words, bits, back, carry):
 
 
 class G17:
-    """``G17()(values)`` is ``[b"%.17g" % v for v in values.tolist()]`` for
-    a one-dimensional float64 array ``values``.
+    """``G17()(values)`` is an ``S24`` array of NUL-padded cells, overwritten by
+    the next call: ``[b"%.17g" % v for v in values.tolist()]`` as ``.tolist()``.
 
     Its scratch, twelve words per value of the largest block so far and three
     for the cells' bytes, is kept for the next call: a block's temporaries are
@@ -184,7 +184,7 @@ class G17:
         length += neg
         for j in range(3):
             np.bitwise_and(words[j], _LENGTH[j].take(length, out=t, mode="clip"), out=cells[:, j])
-        out = cells.view("S24").ravel().tolist()
+        out = cells.view("S24").ravel()
         rest = (~fast).nonzero()[0]
         for j, x in zip(rest.tolist(), values[rest].tolist()):
             out[j] = b"%.17g" % x

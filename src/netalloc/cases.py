@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DisconnectedGraph, FeasibilityError, ParseError, ShareSumMismatch, _field, _unreadable
-from .graphs import GraphTopology, _distinct, _int_array, _int_pairs, _offsets, _pair_array, component_labels
+from .graphs import GraphTopology, _distinct, _int_pairs, _offsets, _pair_array, component_labels
 from .objectives import FeasibleInterval, LocalProblem, Quadratic
 
 CASE_HEADER = "id,bus,gamma,beta,mu,pmin,pmax"
@@ -44,7 +44,7 @@ SYNTH_BASE_BUSES = 118
 
 @dataclass(frozen=True)
 class GeneratorRecord:
-    """One generator: identity, bus location, cost coefficients, and limits."""
+    """One generator: identity and bus (int64s, as in a case file), cost coefficients, and limits."""
 
     id: int
     bus: int
@@ -55,6 +55,9 @@ class GeneratorRecord:
     pmax: float
 
     def __post_init__(self):
+        for field in ("id", "bus"):
+            if not -(2**63) <= getattr(self, field) < 2**63:
+                raise ValueError(f"generator {self.id}: {field} {getattr(self, field)} is beyond int64")
         for field in ("gamma", "beta", "mu", "pmin", "pmax"):
             if not math.isfinite(getattr(self, field)):
                 raise ValueError(f"generator {self.id}: {field} must be finite, got {getattr(self, field)}")
@@ -362,10 +365,12 @@ def bus_derived_graph(case, bus_edges):
     of pairs took 240-400 ms (2-vCPU VM, numpy 2.4.6).
     """
     n = case.n
-    lines = _pair_array(bus_edges)
-    buses, index = np.unique(
-        np.concatenate((_int_array([g.bus for g in case.generators]), lines.ravel())), return_inverse=True
-    )
+    try:
+        lines = _pair_array(bus_edges)
+    except OverflowError:
+        raise ValueError("a bus line holds a bus number beyond int64") from None
+    gen_buses = np.array([g.bus for g in case.generators], dtype=np.int64)
+    buses, index = np.unique(np.concatenate((gen_buses, lines.ravel())), return_inverse=True)
     n_bus, at, (u, v) = len(buses), index[:n], index[n:].reshape(-1, 2).T
     hosts = np.bincount(at, minlength=n_bus) > 0
     u, v = np.where(hosts[u], u, v), np.where(hosts[u], v, u)  # generator end first

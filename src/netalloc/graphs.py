@@ -97,17 +97,20 @@ class GraphTopology:
         n = int(n)
         if n < 2:
             raise ValueError(f"graph needs at least 2 nodes, got {n}")
-        given = _pair_array(edges)
-        ij = given
-        if given.dtype == object:  # an index beyond int64 is out of range: mark it
-            ij = np.where(((given >= 0) & (given < n)).astype(bool), given, -1).astype(np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        try:
+            ij = _pair_array(edges)
+        except OverflowError:  # an index beyond int64 is out of range: mark it
+            edges = edges.tolist() if isinstance(edges, np.ndarray) else edges
+            ij = _pair_array([[i if -(2**63) <= i < 2**63 else -1 for i in pair] for pair in edges])
         lo, hi = np.minimum(ij[:, 0], ij[:, 1]), np.maximum(ij[:, 0], ij[:, 1])
         keys, first = np.unique(lo * n + hi, return_index=True)
         bad = np.ones(len(ij), dtype=bool)  # a repeat, unless it is the first pair of its key
         bad[first] = False
         bad |= (lo == hi) | (lo < 0) | (hi >= n)
         if bad.any():
-            i, j = given[int(np.argmax(bad))].tolist()
+            i, j = map(int, edges[int(np.argmax(bad))])
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
             if not (0 <= i < n and 0 <= j < n):
@@ -123,22 +126,14 @@ class GraphTopology:
         return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
-def _int_array(values):
-    """``values`` as an int64 array, or as an object array of Python ints if one
-    of them is beyond int64; an int64 array is not copied."""
-    if not isinstance(values, np.ndarray):
-        values = list(values)
-    elif not np.can_cast(values.dtype, np.int64):
-        values = values.astype(object)  # a uint64 beyond int64 must not wrap
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
 def _pair_array(pairs):
-    """An iterable of pairs, or an ``(m, 2)`` array, as an ``(m, 2)`` array from :func:`_int_array`."""
-    a = _int_array(pairs)
+    """An iterable of pairs, or an ``(m, 2)`` array, as an ``(m, 2)`` int64 array,
+    not copied if it is one; OverflowError if an index is beyond int64."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    elif not np.can_cast(pairs.dtype, np.int64):
+        pairs = pairs.tolist()  # a uint64 beyond int64 must not wrap
+    a = np.asarray(pairs, dtype=np.int64)
     if a.size == 0:
         return a.reshape(0, 2)
     if a.ndim != 2 or a.shape[1] != 2:

@@ -118,10 +118,10 @@ class NodeCosts:
         ]
         columns = np.array(coefficients, dtype=float).reshape(-1, 5).T
         self.gamma, self.beta, self.mu, self.lo, self.hi = np.ascontiguousarray(columns)
-        # flat (linear) nodes divide by 1.0, then take an end of their interval
+        # flat (linear) nodes divide by -1.0, then take an end of their interval
         flat = self.gamma == 0.0
         self._flat = np.flatnonzero(flat)
-        self._twice_gamma = np.where(flat, 1.0, 2.0 * self.gamma)
+        self._minus_twice_gamma = np.where(flat, -1.0, -(2.0 * self.gamma))
 
     def value(self, x):
         """``f_i(x_i)`` for an ``x`` whose last axis runs over the nodes."""
@@ -136,10 +136,9 @@ class NodeCosts:
         """
         if out is None:
             out = np.empty(np.broadcast_shapes(np.shape(v), self.beta.shape))
-        # clamp(-(beta + v) / (2 gamma), lo, hi), one operation at a time
+        # clamp(-(beta + v) / (2 gamma), lo, hi) as (beta + v) / -(2 gamma), the same bits
         np.add(self.beta, v, out=out)
-        np.negative(out, out=out)
-        np.divide(out, self._twice_gamma, out=out)
+        np.divide(out, self._minus_twice_gamma, out=out)
         np.maximum(out, self.lo, out=out)
         np.minimum(out, self.hi, out=out)
         if self._flat.size:

@@ -31,20 +31,20 @@ and :meth:`RunTrace.total_cost` go through
 quadratic coefficients with the bits of the per-node functions; each
 Lagrangian row is one ``math.fsum`` over its nodes' terms.
 
-The CSV writers format each block of about :data:`CSV_BLOCK_CELLS` (4096)
-cells with one bytes ``%``-template per round, the node indices baked in,
-so peak memory does not grow with the run length. Its ``%s`` slots take each
-value's ``b"%.17g"`` bytes from :class:`~netalloc._g17.G17`, exact by
-construction: in fixed notation ``10**(16 - E)`` is an exact double, so
-Dekker's product gives ``|v| * 10**(16 - E)`` exactly and its rounding half
-to even is the 17 digits of ``%.17g`` (see :mod:`netalloc._g17`). Python
-formats the rest, round 0's zero multipliers: 0.03 % of the cells of a
-5000-round ``builtin:ieee14`` trace, 0.02 % of ``synth:7`` over 5000 rounds
-and 0.20 % of ``synth:7:300`` over 500. The writers start no process. On a
-2-vCPU VM with numpy 2.4.6, median of 5 fresh processes (3 for the last),
-``to_csv`` took 0.025, 0.23 and 0.12 s on these traces and 1.05 s on a
-2000-round ``synth:7:1000`` cycle, where Python's ``%.17g`` took 0.039 s
-and, split over two processes, 0.35, 0.24 and 1.72 s.
+The CSV writers lay out each block of about :data:`CSV_BLOCK_CELLS` (4096)
+cells as fixed-width lines in one numpy byte buffer, fields NUL-padded, and
+write it with the NULs dropped, so no Python object is made per cell and peak
+memory does not grow with the run length. The values' ``b"%.17g"`` bytes come
+from one :class:`~netalloc._g17.G17` call per block, exact by construction:
+in fixed notation ``10**(16 - E)`` is an exact double, so Dekker's product
+gives ``|v| * 10**(16 - E)`` exactly and its rounding half to even is the 17
+digits of ``%.17g`` (see :mod:`netalloc._g17`). Python formats the rest,
+round 0's zero multipliers: 0.03 % of the cells of a 5000-round
+``builtin:ieee14`` trace, 0.02 % of ``synth:7`` over 5000 rounds and 0.20 %
+of ``synth:7:300`` over 500. The writers start no process. On a 2-vCPU VM
+with numpy 2.4.6, median of 5 fresh processes, ``to_csv`` took 0.015, 0.091
+and 0.055 s on these traces and 0.77 s on a 2000-round ``synth:7:1000`` cycle
+(the ``%``-template writer before it: 0.021, 0.19, 0.082 and 1.3 s).
 """
 
 from __future__ import annotations
@@ -63,10 +63,7 @@ from .objectives import NodeCosts
 # Cells (one node at one round) formatted or summed per block.
 CSV_BLOCK_CELLS = 4096
 
-# a trace line with a slot for its node index, filled once per node; a summary line
-_TRACE_CELL = b"%%d,%d,%%s,%%s,%%s\n"
 _TRACE_DTYPE = [("k", "i8"), ("node", "i8"), ("x", "f8"), ("lambda", "f8"), ("v", "f8")]
-_SUMMARY_ROW = b"%d,%s,%s,%s\n"
 
 
 def _row_blocks(rows, width):
@@ -76,31 +73,48 @@ def _row_blocks(rows, width):
         yield r0, min(rows, r0 + step)
 
 
-def _write_csv(path, header, template, cols):
-    """Write ``header``, then ``template`` formatted once per row of the
-    ``(rows, cells)`` float arrays ``cols``.
+def _labels(ints, width):
+    """``b"%d,"`` of each nonnegative int of ``ints``, after NULs up to ``width`` bytes."""
+    out = np.empty((len(ints), width), np.uint8)
+    out[:, -1] = ord(",")
+    for j in range(width - 2, -1, -1):  # the digits from the last; NULs before the first
+        out[:, j] = (ints % 10 + ord("0")) * ((ints > 0) | (j == width - 2))
+        ints = ints // 10
+    return out
 
-    ``template`` holds one line per cell of a row, each formatting the row's
-    ``k`` and then that cell of every column as ``%s``. A block of rows is
-    formatted by one ``%`` on the template repeated; its arguments, each
-    column's ``b"%.17g"`` bytes from :class:`~netalloc._g17.G17`, are
-    interleaved by slice assignment.
+
+def _write_csv(path, header, cols, nodes=False):
+    """Write ``header``, then a line per cell of the ``(rows, cells)`` float
+    arrays ``cols``: the row's ``k``, the cell's index if ``nodes``, then that
+    cell of every column as ``b"%.17g"``, comma-separated.
+
+    A block of rows is one ``(rows, cells, width)`` byte buffer, each field at
+    a fixed offset amid NULs: ``k``, the index, and each value's 24 bytes from
+    one :class:`~netalloc._g17.G17` call over the block's cells of all columns,
+    then ``,`` or ``\n``. The buffer is written with its NULs dropped, 64 kB at
+    a time: no Python object per cell, and the memory of one block.
     """
     cols = [np.asarray(col, dtype=np.float64) for col in cols]
     rows, cells = cols[0].shape
     digits = G17()
-    stride = len(cols) + 1
+    k_width = len(b"%d," % max(rows - 1, 0))
+    at = k_width + (len(b"%d," % (cells - 1)) if nodes else 0)  # where the values start
     with open(path, "wb") as fh:
         fh.write(header)
         for r0, r1 in _row_blocks(rows, cells):
-            args = [0] * ((r1 - r0) * cells * stride)
-            ks = []
-            for k in range(r0, r1):  # each k once per cell of its row
-                ks += [k] * cells
-            args[0::stride] = ks
-            for j, col in enumerate(cols, start=1):
-                args[j::stride] = digits(col[r0:r1].ravel())
-            fh.write(template * (r1 - r0) % tuple(args))
+            if r0 == 0:  # the first block is the largest: its buffer serves them all
+                buf = np.empty((r1, cells, at + 25 * len(cols)), np.uint8)
+                if nodes:
+                    buf[:, :, k_width:at] = _labels(np.arange(cells), at - k_width)
+                buf[:, :, at + 24 :: 25] = ord(",")
+                buf[:, :, -1] = ord("\n")
+            line = buf[: r1 - r0]
+            line[:, :, :k_width] = _labels(np.arange(r0, r1), k_width)[:, None]
+            values = digits(np.concatenate([col[r0:r1].ravel() for col in cols]))
+            for j, value in enumerate(values.view(np.uint8).reshape(len(cols), r1 - r0, cells, 24)):
+                line[:, :, at + 25 * j : at + 25 * j + 24] = value
+            for piece in np.split(line.reshape(-1), range(1 << 16, line.size, 1 << 16)):
+                fh.write(piece[piece != 0])
 
 
 def consensus_step(A, lams):
@@ -217,13 +231,12 @@ class RunTrace:
 
     def to_csv(self, path):
         """Write the per-node trace: header ``k,node,x,lambda,v``, 17 significant digits."""
-        template = b"".join(_TRACE_CELL % i for i in range(self.n))
-        _write_csv(path, b"k,node,x,lambda,v\n", template, (self.x, self.lam, self.v))
+        _write_csv(path, b"k,node,x,lambda,v\n", (self.x, self.lam, self.v), nodes=True)
 
     def summary_to_csv(self, path):
         """Write derived columns: header ``k,residual,lagrangian,spread``."""
         cols = (self.residuals(), self.lagrangians(), self.spreads())
-        _write_csv(path, b"k,residual,lagrangian,spread\n", _SUMMARY_ROW, tuple(c[:, None] for c in cols))
+        _write_csv(path, b"k,residual,lagrangian,spread\n", [c[:, None] for c in cols])
 
     @classmethod
     def from_csv(cls, path, problems, schedule):

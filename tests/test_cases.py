@@ -32,6 +32,8 @@ from netalloc.cases import (
     SYNTH_PMAX_RANGE,
     SYNTH_PMIN_RANGE,
     _synth_buses,
+    load_case,
+    save_case,
     serialize_bus_lines,
 )
 from conftest import SUITE_SEED
@@ -41,8 +43,9 @@ SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=
 
 # bounded so that every sum of limits stays finite
 VALUES = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
-# ids, buses and bus numbers in a file are int64; a library case may hold any int
+# ids, buses and bus numbers are int64, in a file and in a library case
 INT64 = st.integers(-(2**63), 2**63 - 1)
+BEYOND_INT64 = st.integers(max_value=-(2**63) - 1) | st.integers(min_value=2**63)
 
 
 @st.composite
@@ -157,6 +160,27 @@ class TestRoundTrip:
     @given(feasible_cases())
     def test_generated_cases_round_trip(self, case):
         assert parse_case(serialize_case(case)) == case
+
+    @SETTINGS
+    @given(st.data())
+    def test_every_constructible_case_round_trips_through_a_file(self, tmp_path_factory, data):
+        # a generator with an id or bus beyond int64 cannot be made, so
+        # save_case never writes a case that load_case refuses
+        gens = []
+        for gid in data.draw(st.lists(INT64 | BEYOND_INT64, max_size=6, unique=True)):
+            bus = data.draw(INT64 | BEYOND_INT64)
+            beyond = [f"{field} {v}" for field, v in (("id", gid), ("bus", bus)) if not -(2**63) <= v < 2**63]
+            if beyond:
+                with pytest.raises(ValueError, match=rf"^generator {gid}: {beyond[0]} is beyond int64$"):
+                    GeneratorRecord(gid, bus, 0.1, 1.0, 0.0, 0.0, 1.0)
+                continue
+            gamma, beta, mu = data.draw(st.tuples(st.floats(0.0, 1e300), VALUES, VALUES))
+            pmin, pmax = sorted(data.draw(st.tuples(VALUES, VALUES)))
+            gens.append(GeneratorRecord(gid, bus, gamma, beta, mu, pmin, pmax))
+        case = DispatchCase(tuple(gens), demand=math.fsum(g.pmin for g in gens), name="wide")
+        path = tmp_path_factory.mktemp("case") / "case.csv"
+        save_case(case, path)
+        assert load_case(path) == case
 
     @SETTINGS
     @given(st.lists(st.tuples(INT64, INT64).filter(lambda p: p[0] != p[1]).map(sorted).map(tuple)))
@@ -334,15 +358,24 @@ class TestBusDerivedGraph:
             assert g.connected
 
     def test_bus_numbers_beyond_int64(self):
-        # bus numbers are any integers: 2**70, -2**64 and 2**63 are buses like
-        # 1 and 5 (the last network leaves bus 2**70 apart)
-        big, low = 2**70, -(2**64)
+        # the ends of int64 are buses like 1 and 5 (the last network leaves
+        # bus 2**63 - 1 apart); a generator or a line at a bus beyond int64
+        # is refused, whether the line comes as a list or as a uint64 array
+        big, low = 2**63 - 1, -(2**63)
         gens = tuple(GeneratorRecord(i + 1, bus, 0.1, 1.0, 0.0, 0.0, 1.0) for i, bus in enumerate([big, 1, 5]))
         case = DispatchCase(generators=gens, demand=0.0, name="toy")
-        wide = np.array([[2**63, 1], [5, 2**63]], dtype=np.uint64)
+        wide = np.array([[big, 1], [5, big]], dtype=np.uint64)
         for lines in ([(big, 5), (5, 1)], [(big, low), (low, 1), (5, 1)], wide):
             expected = graph_outcome(reference_bus_derived_graph, case, lines)
             assert graph_outcome(bus_derived_graph, case, lines) == expected
+        for bus in (2**63, -(2**63) - 1, 2**70):
+            with pytest.raises(ValueError, match=rf"^generator 4: bus {bus} is beyond int64$"):
+                GeneratorRecord(4, bus, 0.1, 1.0, 0.0, 0.0, 1.0)
+            for lines in ([(5, 1), (big, bus)], (line for line in [(bus, 5)])):
+                with pytest.raises(ValueError, match="^a bus line holds a bus number beyond int64$"):
+                    bus_derived_graph(case, lines)
+        with pytest.raises(ValueError, match="^a bus line holds a bus number beyond int64$"):
+            bus_derived_graph(case, np.array([[2**63, 1], [5, 1]], dtype=np.uint64))
 
 
 class TestBusLinesFormat:

@@ -2,11 +2,11 @@
 
 A table is formatted in the calling process, one block of about
 ``CSV_BLOCK_CELLS`` cells at a time (see :func:`netalloc.simulator._write_csv`).
-The test names speak of helpers: ranges of rows that were once formatted by
-helper processes. Here each such range is a row block of the caller, and every
-test checks what held then too: the bytes are those of the reference writer,
-the writer starts no process and keeps its CPU affinity, and the output
-directory holds nothing but the CSVs afterwards.
+Each test lowers ``CSV_BLOCK_CELLS`` to split a table into ``count + 1`` row
+blocks, or fewer, and checks that the bytes are those of the reference writer,
+that the writer starts no process and keeps its CPU affinity, and that the
+output directory holds nothing but the CSVs afterwards. Some test names still
+say "helpers", for the processes that once formatted such row ranges.
 """
 
 import os
@@ -101,23 +101,23 @@ def test_summary_through_helpers(tmp_path, monkeypatch, no_process, count):
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_error_in_caller_reaps_helpers_and_removes_files(tmp_path, monkeypatch, no_process, error):
-    # the formatter fails on the second of three blocks: the error reaches the
-    # caller, the file holds the header and the first block, and no other file
-    # is left
+def test_formatting_error_leaves_header_and_first_block(tmp_path, monkeypatch, no_process, error):
+    # the formatter, called once per block, fails on the second of three
+    # blocks: the error reaches the caller, the file holds the header and the
+    # first block, and no other file is left
     out = tmp_path / "out"
     out.mkdir()
     trace = trace_of(2731, 3)
     reference_to_csv(trace, tmp_path / "expected.csv")
     formatter = simulator.G17
+    calls = []
 
     def failing():
         digits = formatter()
-        calls = []
 
         def call(v):
             calls.append(v.size)
-            if len(calls) > 3:
+            if len(calls) > 1:
                 raise error("formatting failed")
             return digits(v)
 
@@ -126,6 +126,7 @@ def test_error_in_caller_reaps_helpers_and_removes_files(tmp_path, monkeypatch, 
     monkeypatch.setattr(simulator, "G17", failing)
     with pytest.raises(error, match="formatting failed"):
         trace.to_csv(out / "trace.csv")
+    assert calls == [1365 * 3 * 3] * 2  # a block's cells of all three columns
     assert os.listdir(out) == ["trace.csv"]
     written = (out / "trace.csv").read_bytes()
     expected = (tmp_path / "expected.csv").read_bytes()

@@ -1,9 +1,10 @@
 """The numpy ``%.17g`` formatter against Python's own ``b"%.17g" % v``.
 
-:class:`netalloc._g17.G17` must give every value exactly Python's bytes:
-values in fixed notation through its numpy path, every other value through
-Python. Uniformly random bit patterns mostly reach Python (their exponents
-span all 2048 exponent fields), so half the random draws aim at the numpy path.
+:class:`netalloc._g17.G17` must give every value exactly Python's bytes,
+as the ``.tolist()`` of the NUL-padded ``S24`` array it returns: values in
+fixed notation through its numpy path, every other value through Python.
+Uniformly random bit patterns mostly reach Python (their exponents span all
+2048 exponent fields), so half the random draws aim at the numpy path.
 """
 
 from fractions import Fraction
@@ -27,7 +28,7 @@ def mismatches(values, block=4096):
     bad = []
     for r0 in range(0, len(values), block):
         chunk = values[r0 : r0 + block]
-        got, want = digits(chunk), python_bytes(chunk)
+        got, want = digits(chunk).tolist(), python_bytes(chunk)
         bad += [(w, g) for g, w in zip(got, want) if g != w]
     return bad
 
@@ -63,6 +64,7 @@ EDGES = [
     1e-310,
     2.2250738585072009e-308,
     2.2250738585072014e-308,
+    -2.2250738585072014e-308,  # 24 bytes, as long as a %.17g result gets
     1.7976931348623157e308,
     -1.7976931348623157e308,
     float("inf"),
@@ -111,12 +113,16 @@ def test_block_of_fast_and_fallback_cells_gives_each_cells_bytes():
     values[::7] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-5, -3e-300, 1e17, -2e200], 86)
     digits = G17()
     for chunk in (values, values[:5], values[::-1], np.concatenate([values, values])):
-        assert digits(chunk) == python_bytes(chunk)
+        cells, want = digits(chunk), python_bytes(chunk)
+        assert cells.dtype == np.dtype("S24") and cells.shape == chunk.shape
+        assert cells.tolist() == want
+        # each cell's bytes, then NULs to 24 bytes, which the CSV writer drops
+        assert cells.tobytes() == b"".join(b.ljust(24, b"\0") for b in want)
 
 
 def test_non_contiguous_input():
     values = np.array([1.25, -7.0, 0.0, 3e-5, 42.0, 1e300]).reshape(3, 2)
-    assert G17()(values[:, 1]) == python_bytes(values[:, 1])
+    assert G17()(values[:, 1]).tolist() == python_bytes(values[:, 1])
 
 
 def test_thresholds_are_the_smallest_doubles_at_or_above_each_power_of_ten():

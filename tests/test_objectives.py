@@ -83,6 +83,39 @@ class TestPrimalArgmin:
         node = NodeCosts([p]).argmin(v)[0]
         assert np.float64(primal_argmin(p, v)).tobytes() == node.tobytes()
 
+    def test_node_costs_match_per_node_bit_for_bit(self, suite_rng):
+        # slopes of +0.0 and -0.0 inside the interval, where only the sign of
+        # the quotient tells the results apart; flat nodes on either side of
+        # and at their tie; clamped nodes at both ends; and random nodes
+        nodes = [
+            (1.0, 2.0, -2.0, -5.0, 5.0),
+            (1.0, -0.0, -0.0, -5.0, 5.0),
+            (3.0, 0.0, -0.0, -5.0, 5.0),
+            (1e-300, 1.0, -0.5, -5.0, 5.0),
+            (0.0, 2.0, -2.0, -1.0, 3.0),
+            (0.0, 2.0, 1.0, -1.0, 3.0),
+            (0.0, 2.0, -5.0, -1.0, 3.0),
+            (0.0, -0.0, -0.0, -0.0, 0.0),
+            (0.5, 2.0, -100.0, -1.0, 3.0),
+            (0.5, 2.0, 100.0, -1.0, 3.0),
+        ]
+        for _ in range(40):
+            gamma = float(suite_rng.choice([0.0, suite_rng.uniform(1e-3, 2.0)]))
+            lo, hi = sorted(suite_rng.uniform(-10.0, 10.0, 2).tolist())
+            nodes.append((gamma, *suite_rng.uniform(-10.0, 10.0, 2).tolist(), lo, hi))
+        problems = [LocalProblem(Quadratic(g, b), FeasibleInterval(lo, hi), 0.0) for g, b, _, lo, hi in nodes]
+        v = np.array([node[2] for node in nodes])
+        costs = NodeCosts(problems)
+
+        def per_node(vs):
+            return np.array([primal_argmin(p, x) for p, x in zip(problems, vs.tolist())]).tobytes()
+
+        assert costs.argmin(v).tobytes() == per_node(v)
+        for shared in (0.0, -0.0, -2.0, 7.5):  # one multiplier for every node, alone and as a column
+            assert costs.argmin(shared).tobytes() == per_node(np.full(len(nodes), shared))
+            column = costs.argmin(np.array([[shared], [-shared]]))
+            assert column.tobytes() == per_node(np.full(len(nodes), shared)) + per_node(np.full(len(nodes), -shared))
+
     def test_feasibility_property(self, suite_rng):
         # optimality certificate against random feasible points
         for _ in range(1000):

@@ -175,27 +175,46 @@ def test_check_bounds_rows_match_whole_array(monkeypatch, n, cells):
         assert repr(got) == repr(want)
 
 
+def long_trace():
+    """A 20001-row, 54-node trace, with its ``x`` array (8.6 MB)."""
+    trace, rng = random_trace(54, 6)
+    x, lam, v = (rng.standard_normal((20001, trace.n)) for _ in range(3))
+    return dataclasses.replace(trace, x=x, lam=lam, v=v), x
+
+
+def traced_peak(fn):
+    """The largest size ``fn`` takes above what exists before it, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_summary_bounds_and_charts_stay_within_a_third_of_one_trace_array(tmp_path):
     """On a 20001-row, 54-node trace the three output layers together peak
     below a third of one ``(T + 1, n)`` array (8.6 MB) above the trace's
     arrays. What they allocate grows with the rows only: per-row columns of
-    160 kB and one CSV block of about 1.2 MB of Python objects, 1.9 MB in all
-    under numpy 2.4.6. The whole-array code peaked at 26.7 MB here."""
-    trace, rng = random_trace(54, 6)
-    n, rows = trace.n, 20001
-    x, lam, v = (rng.standard_normal((rows, n)) for _ in range(3))
-    trace = dataclasses.replace(trace, x=x, lam=lam, v=v)
-    w = metropolis_weights(cycle_graph(n))
+    160 kB, and one CSV block of 4096 rows, whose 24-byte cells, line buffer
+    and formatter scratch take about 2.0 MB; 2.5 MB in all under numpy 2.4.6.
+    The whole-array code peaked at 26.7 MB here."""
+    trace, x = long_trace()
+    w = metropolis_weights(cycle_graph(trace.n))
 
     def outputs():
         trace.summary_to_csv(tmp_path / "summary.csv")
         check_bounds(trace, trace.problems, w, 0.5, consensus_upto=1000)  # the CLI's horizon
         _write_plots(tmp_path, trace)
 
-    tracemalloc.start()
-    try:
-        outputs()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(outputs)
     assert peak < x.nbytes / 3, f"peak {peak / 1e6:.2f} MB above the trace's arrays"
+
+
+def test_trace_writer_takes_one_block(tmp_path):
+    """``to_csv`` on the same trace peaks at one block: 4096 cells of three
+    columns take their 24-byte cells, a line buffer of about 340 kB and the
+    formatter's scratch, 2.0 MB under numpy 2.4.6, the same at 2001 rows."""
+    trace, _ = long_trace()
+    peak = traced_peak(lambda: trace.to_csv(tmp_path / "trace.csv"))
+    assert peak < 2.5e6, f"peak {peak / 1e6:.2f} MB above the trace's arrays"
