@@ -6,7 +6,9 @@ Subcommands::
                        solve the reference oracle, check bounds, write
                        CSV traces and SVG plots
     netalloc oracle    print and store the centralized reference solution
-    netalloc bounds    evaluate convergence bounds against a stored trace
+    netalloc bounds    check that a stored trace is a run of the method for
+                       the case, graph and schedule given, then evaluate the
+                       convergence bounds against it
     netalloc case validate   strict-parse a case file
     netalloc case synth      write a deterministic synthetic case (+ bus lines)
 
@@ -41,7 +43,7 @@ from .graphs import (
 )
 from .oracle import solve_centralized
 from .schedules import parse_schedule
-from .simulator import RunTrace, run_dlm
+from .simulator import replay_csv, run_dlm
 from .svgplot import write_line_chart
 
 
@@ -238,7 +240,7 @@ def _cmd_oracle(args):
 
 def _cmd_bounds(args):
     case, problems, weights, sched = _set_up(args)
-    trace = RunTrace.from_csv(args.trace, problems, sched)
+    trace = replay_csv(args.trace, problems, weights, sched)
     report = _check_bounds(args, trace, problems, weights, solve_centralized(problems, case.demand).lam_star)
     print(report.summary_json())
     return 0 if report.all_satisfied else 1

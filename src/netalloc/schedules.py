@@ -134,14 +134,17 @@ class Custom(StepSchedule):
 
 
 def parse_schedule(spec):
-    """Parse a schedule spec string: ``recip-sqrt``, ``recip``, or ``powerlaw:C:P``."""
-    parts = spec.split(":")
-    head = parts[0].strip().lower().replace("_", "-")
-    if head in ("recip-sqrt", "recipsqrt") and len(parts) == 1:
+    """Parse a schedule spec string: ``recip-sqrt``, ``recip``, or ``powerlaw:C:P``.
+
+    The names are exact: no other case, spacing, ``_`` for ``-`` or alias.
+    ``C`` and ``P`` are read by the number rule, :func:`~netalloc.errors._field`.
+    """
+    if spec == "recip-sqrt":
         return RecipSqrt()
-    if head == "recip" and len(parts) == 1:
+    if spec == "recip":
         return Recip()
-    if head == "powerlaw":
+    parts = spec.split(":")
+    if parts[0] == "powerlaw":
         if len(parts) != 3:
             raise ValueError(f"power-law spec must be 'powerlaw:C:P', got {spec!r}")
         try:

@@ -45,11 +45,20 @@ of ``synth:7:300`` over 500. The writers start no process. On a 2-vCPU VM
 with numpy 2.4.6, median of 5 fresh processes, ``to_csv`` took 0.015, 0.091
 and 0.055 s on these traces and 0.77 s on a 2000-round ``synth:7:1000`` cycle
 (the ``%``-template writer before it: 0.021, 0.19, 0.082 and 1.3 s).
+
+:func:`replay_csv`, which ``netalloc bounds`` calls, does not parse a trace
+that is a run of the method: it reruns :func:`run_dlm` for as many rounds as
+the file's last row names and compares the file, block by block, with the
+bytes the writer's own block loop (:func:`_csv_pieces`) renders for that run.
+:meth:`RunTrace.from_csv` reads the file only when the bytes differ, to name
+a malformed line or the first value that is not the run's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -63,6 +72,8 @@ from .objectives import NodeCosts
 # Cells (one node at one round) formatted or summed per block.
 CSV_BLOCK_CELLS = 4096
 
+_TRACE_HEADER = b"k,node,x,lambda,v\n"
+_TRACE_COLUMNS = ("x", "lambda", "v")
 _TRACE_DTYPE = [("k", "i8"), ("node", "i8"), ("x", "f8"), ("lambda", "f8"), ("v", "f8")]
 
 
@@ -83,38 +94,59 @@ def _labels(ints, width):
     return out
 
 
-def _write_csv(path, header, cols, nodes=False):
-    """Write ``header``, then a line per cell of the ``(rows, cells)`` float
-    arrays ``cols``: the row's ``k``, the cell's index if ``nodes``, then that
-    cell of every column as ``b"%.17g"``, comma-separated.
+def _csv_pieces(header, cols, nodes=False):
+    """The bytes of ``header``, then of a line per cell of the ``(rows, cells)``
+    float arrays ``cols``: the row's ``k``, the cell's index if ``nodes``, then
+    that cell of every column as ``b"%.17g"``, comma-separated.
 
     A block of rows is one ``(rows, cells, width)`` byte buffer, each field at
     a fixed offset amid NULs: ``k``, the index, and each value's 24 bytes from
     one :class:`~netalloc._g17.G17` call over the block's cells of all columns,
-    then ``,`` or ``\n``. The buffer is written with its NULs dropped, 64 kB at
-    a time: no Python object per cell, and the memory of one block.
+    then ``,`` or ``\n``. The buffer is yielded with its NULs dropped, 64 kB at
+    a time: no Python object per cell, and the memory of one block. Both
+    :func:`_write_csv` and :func:`_holds` consume these pieces, so the layout
+    exists once.
     """
     cols = [np.asarray(col, dtype=np.float64) for col in cols]
     rows, cells = cols[0].shape
     digits = G17()
     k_width = len(b"%d," % max(rows - 1, 0))
     at = k_width + (len(b"%d," % (cells - 1)) if nodes else 0)  # where the values start
+    yield header
+    for r0, r1 in _row_blocks(rows, cells):
+        if r0 == 0:  # the first block is the largest: its buffer serves them all
+            buf = np.empty((r1, cells, at + 25 * len(cols)), np.uint8)
+            if nodes:
+                buf[:, :, k_width:at] = _labels(np.arange(cells), at - k_width)
+            buf[:, :, at + 24 :: 25] = ord(",")
+            buf[:, :, -1] = ord("\n")
+        line = buf[: r1 - r0]
+        line[:, :, :k_width] = _labels(np.arange(r0, r1), k_width)[:, None]
+        values = digits(np.concatenate([col[r0:r1].ravel() for col in cols]))
+        for j, value in enumerate(values.view(np.uint8).reshape(len(cols), r1 - r0, cells, 24)):
+            line[:, :, at + 25 * j : at + 25 * j + 24] = value
+        for piece in np.split(line.reshape(-1), range(1 << 16, line.size, 1 << 16)):
+            yield piece[piece != 0]
+
+
+def _write_csv(path, pieces):
+    """Write the byte ``pieces`` of :func:`_csv_pieces` to ``path``."""
     with open(path, "wb") as fh:
-        fh.write(header)
-        for r0, r1 in _row_blocks(rows, cells):
-            if r0 == 0:  # the first block is the largest: its buffer serves them all
-                buf = np.empty((r1, cells, at + 25 * len(cols)), np.uint8)
-                if nodes:
-                    buf[:, :, k_width:at] = _labels(np.arange(cells), at - k_width)
-                buf[:, :, at + 24 :: 25] = ord(",")
-                buf[:, :, -1] = ord("\n")
-            line = buf[: r1 - r0]
-            line[:, :, :k_width] = _labels(np.arange(r0, r1), k_width)[:, None]
-            values = digits(np.concatenate([col[r0:r1].ravel() for col in cols]))
-            for j, value in enumerate(values.view(np.uint8).reshape(len(cols), r1 - r0, cells, 24)):
-                line[:, :, at + 25 * j : at + 25 * j + 24] = value
-            for piece in np.split(line.reshape(-1), range(1 << 16, line.size, 1 << 16)):
-                fh.write(piece[piece != 0])
+        for piece in pieces:
+            fh.write(piece)
+
+
+def _holds(path, pieces):
+    """Whether the file at ``path`` holds exactly the byte ``pieces``, and nothing after them.
+
+    Each piece is compared with the next bytes of the file as it is made, so
+    the first difference ends the comparison, and only one block exists at a time.
+    """
+    with open(path, "rb") as fh:
+        for piece in pieces:
+            if fh.read(len(piece)) != bytes(piece):
+                return False
+        return not fh.read(1)
 
 
 def consensus_step(A, lams):
@@ -231,12 +263,16 @@ class RunTrace:
 
     def to_csv(self, path):
         """Write the per-node trace: header ``k,node,x,lambda,v``, 17 significant digits."""
-        _write_csv(path, b"k,node,x,lambda,v\n", (self.x, self.lam, self.v), nodes=True)
+        _write_csv(path, self._csv_bytes())
+
+    def _csv_bytes(self):
+        """The bytes :meth:`to_csv` writes, in the pieces of :func:`_csv_pieces`."""
+        return _csv_pieces(_TRACE_HEADER, (self.x, self.lam, self.v), nodes=True)
 
     def summary_to_csv(self, path):
         """Write derived columns: header ``k,residual,lagrangian,spread``."""
         cols = (self.residuals(), self.lagrangians(), self.spreads())
-        _write_csv(path, b"k,residual,lagrangian,spread\n", [c[:, None] for c in cols])
+        _write_csv(path, _csv_pieces(b"k,residual,lagrangian,spread\n", [c[:, None] for c in cols]))
 
     @classmethod
     def from_csv(cls, path, problems, schedule):
@@ -256,6 +292,9 @@ class RunTrace:
         it raises ValueError naming the first faulty line (or the first
         missing cell of a file that ends inside a round), and when it finds
         no fault, numpy's own error is raised.
+
+        ``netalloc bounds`` calls it only when the file's bytes are not those
+        of a rerun of the method (:func:`replay_csv`): a match is not parsed.
         """
         problems = tuple(problems)
         n = len(problems)
@@ -267,7 +306,7 @@ class RunTrace:
             raise _unreadable("trace file", path, exc) from None
         with fh:
             header = fh.readline().strip()
-            if header != "k,node,x,lambda,v":
+            if header != _TRACE_HEADER.decode().strip():
                 raise ValueError(f"unexpected trace header {header!r}")
             try:
                 x, lam, v = _columns(_load_rows(fh), n)
@@ -365,7 +404,7 @@ def _columns(rows, n):
     rounds, extra = divmod(len(rows), n)
     if rounds and not extra:
         ks, nodes = rows["k"].reshape(rounds, n), rows["node"].reshape(rounds, n)
-        cols = tuple(rows[name].reshape(rounds, n) for name in ("x", "lambda", "v"))
+        cols = tuple(rows[name].reshape(rounds, n) for name in _TRACE_COLUMNS)
         if (
             (ks == np.arange(rounds)[:, None]).all()
             and (nodes == np.arange(n)).all()
@@ -385,36 +424,41 @@ def _scan_rows(path, n):
     A body that ends inside a round names its first missing cell.
     """
     rows = 0  # the next row holds the cell divmod(rows, n)
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()  # the header, already checked
-        for lineno, line in enumerate(fh, start=2):
-            raw = line.rstrip("\n")
-            if not raw:
-                continue
-            parts = raw.split(",")
-            if len(parts) != 5:
-                raise ValueError(
-                    f"line {lineno}: malformed trace row {raw!r}: "
-                    f"expected 5 fields, got {len(parts)}"
-                )
-            try:
-                k, node = (_field(part, int) for part in parts[:2])
-                values = [_field(part, float) for part in parts[2:]]
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: malformed trace row {raw!r}: {exc}") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"line {lineno}: non-finite value in trace row")
-            want_k, want_node = divmod(rows, n)
-            if (k, node) != (want_k, want_node):
-                raise ValueError(
-                    f"line {lineno}: expected the row for k={want_k}, node={want_node}, "
-                    f"got k={k}, node={node}"
-                )
-            rows += 1
+    for lineno, raw in _body_lines(path):
+        parts = raw.split(",")
+        if len(parts) != 5:
+            raise ValueError(
+                f"line {lineno}: malformed trace row {raw!r}: "
+                f"expected 5 fields, got {len(parts)}"
+            )
+        try:
+            k, node = (_field(part, int) for part in parts[:2])
+            values = [_field(part, float) for part in parts[2:]]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: malformed trace row {raw!r}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"line {lineno}: non-finite value in trace row")
+        want_k, want_node = divmod(rows, n)
+        if (k, node) != (want_k, want_node):
+            raise ValueError(
+                f"line {lineno}: expected the row for k={want_k}, node={want_node}, "
+                f"got k={k}, node={node}"
+            )
+        rows += 1
     if not rows:
         raise ValueError("empty trace file")
     if rows % n:
         raise ValueError("trace has no row for k=%d, node=%d" % divmod(rows, n))
+
+
+def _body_lines(path):
+    """``(lineno, line)`` for each non-empty line of the trace body, without its newline."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()  # the header
+        for lineno, line in enumerate(fh, start=2):
+            raw = line.rstrip("\n")
+            if raw:
+                yield lineno, raw
 
 
 def _require_finite(x_hist, lam_hist, v_hist):
@@ -488,3 +532,90 @@ def run_dlm(problems, A, sched, iters, init_lams=None):
         lam=lam_hist,
         v=v_hist,
     )
+
+
+def replay_csv(path, problems, A, sched):
+    """The run of the method whose trace :meth:`RunTrace.to_csv` wrote at ``path``.
+
+    The run is :func:`run_dlm`'s from its default start (midpoints, zero
+    multipliers) for ``problems``, ``A`` and ``sched``, over as many rounds as
+    the file's last row names. When the file holds exactly the bytes that
+    :meth:`RunTrace.to_csv` writes for that run, compared one block at a time
+    as they are made, no text is parsed: ``%.17g`` round-trips every finite
+    double, so the run's arrays are the ones :meth:`RunTrace.from_csv` would
+    return. Otherwise the file is read by :meth:`RunTrace.from_csv`, whose
+    refusals stand, and its values must be the run's bit for bit (another
+    spelling of the same double, a blank line, a ``+`` sign pass; ``-0`` for
+    ``0`` does not); the first that is not raises ValueError naming its line,
+    round, node and column and both values. Either way the run is returned.
+    """
+    problems = tuple(problems)
+    rounds = _last_round(path, len(problems))
+    run = None
+    if rounds is not None:
+        try:
+            run = _run_of(problems, A, sched, rounds)
+        except ValueError:
+            # no run that fails wrote the file: from_csv names a malformed
+            # file's fault, and a well-formed one meets the run's error below
+            pass
+        else:
+            if _holds(path, run._csv_bytes()):
+                return run
+    recorded = RunTrace.from_csv(path, problems, sched)
+    if run is None or run.iterations != recorded.iterations:
+        run = _run_of(problems, A, sched, recorded.iterations)
+    pairs = ((recorded.x, run.x), (recorded.lam, run.lam), (recorded.v, run.v))
+    differ = [got.view(np.int64) != want.view(np.int64) for got, want in pairs]
+    cells = differ[0] | differ[1] | differ[2]
+    if cells.any():
+        k, i = divmod(int(np.argmax(cells)), run.n)
+        c = next(c for c in range(3) if differ[c][k, i])
+        lineno, _ = next(itertools.islice(_body_lines(path), k * run.n + i, None))
+        got, want = (float(col[k, i]) for col in pairs[c])
+        raise ValueError(
+            f"line {lineno}: k={k}, node={i}: the trace has {_TRACE_COLUMNS[c]}={got!r} "
+            f"where the run of the method has {want!r}"
+        )
+    return run
+
+
+def _last_round(path, n):
+    """The ``k`` of the last row of the trace file at ``path``, or None.
+
+    None unless that row parses as ``k``, node ``n - 1`` and the file is long
+    enough to hold ``k + 1`` rounds of ``n`` rows of at least 10 bytes each
+    (``0,0,0,0,0`` and its newline), so no run is sized from a claim the file
+    cannot back. An unreadable file gives None too; :meth:`RunTrace.from_csv`
+    then names the fault.
+    """
+    try:
+        with open(path, "rb") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            start = fh.seek(max(0, size - 4096))
+            tail = fh.read()
+    except OSError:
+        return None
+    _, newline, last = tail.rstrip(b"\r\n").rpartition(b"\n")
+    fields = last.split(b",")
+    if (start and not newline) or len(fields) != 5:
+        return None
+    try:
+        k, node = (_field(field.decode("ascii"), int) for field in fields[:2])
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if node != n - 1 or k < 0 or (k + 1) * n * 10 > size:
+        return None
+    return k
+
+
+def _run_of(problems, A, sched, rounds):
+    """:func:`run_dlm`'s trace of ``rounds`` rounds.
+
+    ``run_dlm`` runs at least one round, while :meth:`RunTrace.from_csv`
+    accepts a trace of round 0 alone: that is the first row of a one-round run.
+    """
+    trace = run_dlm(problems, A, sched, max(rounds, 1))
+    if rounds == 0:
+        trace = RunTrace(trace.problems, trace.b, sched, trace.x[:1], trace.lam[:1], trace.v[:1])
+    return trace

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from netalloc import RecipSqrt, builtin_ieee14, simulator, to_problems
 from netalloc.cli import main
+from netalloc.simulator import RunTrace
 
 RUN_FILES = ("trace.csv", "summary.csv", "oracle.csv", "alloc.svg", "multipliers.svg", "residual.svg")
 
@@ -175,6 +177,24 @@ class TestRun:
         assert captured.err == f"error: ValueError: {reason}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "schedule",
+        ["RECIP_SQRT", "recip_sqrt", "Recip-Sqrt", "recipsqrt", " recip-sqrt", "recip-sqrt ", "RECIP", "recip:1",
+         "Powerlaw:0.08:0.85", " powerlaw:0.08:0.85"],
+    )
+    def test_inexact_schedule_spec_is_one_error_line(self, tmp_path, capsys, schedule):
+        # the names are exact: no case folding, stripping, '_' for '-' or alias
+        out = tmp_path / "out"
+        code = run_cli(
+            "run", "--case", "builtin:ieee14", "--graph", "cycle", "--schedule", schedule,
+            "--iters", "10", "--out", str(out),
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ValueError: unknown schedule spec {schedule!r}\n"
+        assert not out.exists()
+
     def test_explicit_split(self, tmp_path):
         code = run_cli(
             "run",
@@ -329,6 +349,106 @@ class TestBounds:
         assert code == 1
         assert capsys.readouterr().err == "error: ValueError: consensus_upto must be nonnegative, got -3\n"
         assert not (out / "bounds.csv").exists()
+
+    def _replay(self, trace, out, case="builtin:ieee14", graph="cycle"):
+        return run_cli(
+            "bounds", "--case", case, "--graph", graph, "--schedule", "recip-sqrt",
+            "--trace", str(trace), "--out", str(out),
+        )
+
+    def test_own_trace_replays_without_parsing(self, tmp_path, capsys, monkeypatch):
+        # the run's trace has the bytes a rerun of the method renders, so no
+        # text is parsed and bounds.csv is the run's
+        out = self._run(tmp_path, "recip-sqrt")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("from_csv called")
+
+        monkeypatch.setattr(RunTrace, "from_csv", refuse)
+        assert self._replay(out / "trace.csv", tmp_path / "replay") == 0
+        assert (tmp_path / "replay" / "bounds.csv").read_bytes() == (out / "bounds.csv").read_bytes()
+
+    def test_trace_of_another_run_is_one_error_line(self, tmp_path, capsys):
+        # a synth:8 cycle trace, well formed and of the right size, is no run
+        # of synth:7 on the complete graph; before the replay reran the method
+        # it exited 0 with sigma2 1.2e-14
+        out = tmp_path / "synth8"
+        argv = ("--schedule", "recip-sqrt", "--iters", "500", "--out", str(out))
+        assert run_cli("run", "--case", "synth:8", "--graph", "cycle", *argv) == 0
+        capsys.readouterr()
+        code = self._replay(out / "trace.csv", tmp_path / "replay", case="synth:7", graph="complete")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: ValueError: line 2: k=0, node=0: the trace has x=215.47884302941873 "
+            "where the run of the method has 246.26339360882508\n"
+        )
+        assert not (tmp_path / "replay").exists()
+
+    def test_changed_digit_is_one_error_line(self, tmp_path, capsys):
+        out = self._run(tmp_path, "recip-sqrt")
+        trace = out / "trace.csv"
+        lines = trace.read_text().splitlines(keepends=True)
+        k, node, x, lam, v = lines[300].split(",")  # line 301: k=59, node=4
+        digit = lam.index(".") + 3
+        changed = lam[:digit] + str((int(lam[digit]) + 1) % 10) + lam[digit + 1 :]
+        lines[300] = ",".join((k, node, x, changed, v))
+        trace.write_text("".join(lines))
+        capsys.readouterr()
+        assert self._replay(trace, tmp_path / "replay") == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: line 301: k=59, node=4: the trace has lambda={float(changed)!r} "
+            f"where the run of the method has {float(lam)!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines[:200] + ["\n"] + lines[200:],
+            lambda lines: lines + ["\n", "\n"],
+            lambda lines: lines[:1] + [line.replace(",", ",+", 1) for line in lines[1:]],
+            lambda lines: [line.replace(",0,0\n", ",0.0,0e5\n") for line in lines],
+        ],
+        ids=["blank-line", "blank-lines-at-end", "plus-sign", "other-spelling"],
+    )
+    def test_same_values_spelled_otherwise_replay(self, tmp_path, capsys, edit):
+        # bytes that differ from the run's but parse to its values, bit for bit
+        out = self._run(tmp_path, "recip-sqrt")
+        trace = out / "trace.csv"
+        lines = trace.read_text().splitlines(keepends=True)
+        edited = "".join(edit(lines))
+        assert edited != trace.read_text()
+        trace.write_text(edited)
+        assert self._replay(trace, tmp_path / "replay") == 0
+        assert (tmp_path / "replay" / "bounds.csv").read_bytes() == (out / "bounds.csv").read_bytes()
+
+    def test_round_zero_alone_replays(self, tmp_path, capsys):
+        out = self._run(tmp_path, "recip-sqrt")
+        trace = out / "trace.csv"
+        trace.write_text("".join(trace.read_text().splitlines(keepends=True)[:6]))
+        assert self._replay(trace, tmp_path / "replay") == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary["all_satisfied"] is True
+
+    def test_huge_last_round_is_refused_without_a_run(self, tmp_path, capsys, monkeypatch):
+        # the file cannot hold 10**12 rounds, so no run is sized from its claim
+        # and from_csv's refusal stands
+        out = self._run(tmp_path, "recip-sqrt")
+        trace = out / "trace.csv"
+        with open(trace, "a") as fh:
+            fh.write(f"{10**12},4,1,2,3\n")
+        with pytest.raises(ValueError) as refusal:
+            RunTrace.from_csv(trace, to_problems(builtin_ieee14()), RecipSqrt())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_dlm called")
+
+        monkeypatch.setattr(simulator, "run_dlm", refuse)
+        capsys.readouterr()
+        assert self._replay(trace, tmp_path / "replay") == 1
+        assert capsys.readouterr().err == f"error: ValueError: {refusal.value}\n"
+        assert str(refusal.value) == "line 507: expected the row for k=101, node=0, got k=1000000000000, node=4"
 
     def test_explicit_lamstar_and_checkpoint_one(self, tmp_path, capsys):
         # lam_star is always the oracle's: --lamstar is an unrecognised argument

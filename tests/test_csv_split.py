@@ -1,12 +1,13 @@
 """The writers' split into row blocks: the reference bytes, nothing left behind.
 
 A table is formatted in the calling process, one block of about
-``CSV_BLOCK_CELLS`` cells at a time (see :func:`netalloc.simulator._write_csv`).
+``CSV_BLOCK_CELLS`` cells at a time (see :func:`netalloc.simulator._csv_pieces`).
 Each test lowers ``CSV_BLOCK_CELLS`` to split a table into ``count + 1`` row
 blocks, or fewer, and checks that the bytes are those of the reference writer,
 that the writer starts no process and keeps its CPU affinity, and that the
-output directory holds nothing but the CSVs afterwards. Some test names still
-say "helpers", for the processes that once formatted such row ranges.
+output directory holds nothing but the CSVs afterwards.
+``test_helpers_give_in_process_bytes`` is named for the processes that once
+formatted such row ranges; it checks the split trace against the reference bytes.
 """
 
 import os
@@ -59,7 +60,7 @@ def tiles(blocks, rows):
     return [r0 for r0, _ in blocks] == ends[:-1] and ends[-1] == rows
 
 
-# (rows, n): one row per block at three helpers, blocks of 1 and 2 rows,
+# (rows, n): one row per block at count 3, blocks of 1 and 2 rows,
 # a short last block, and tables larger than one default block (1365 rounds
 # a block at n = 3, 13 at n = 300)
 SHAPES = [(2, 3), (4, 3), (7, 5), (2731, 3), (27, 300)]
@@ -80,7 +81,7 @@ def test_helpers_give_in_process_bytes(tmp_path, monkeypatch, no_process, count,
     assert sorted(os.listdir(tmp_path)) == ["expected.csv", "reference.csv", "trace.csv"]
 
 
-def test_one_row_starts_no_helper(tmp_path, monkeypatch, no_process):
+def test_one_row_is_one_block(tmp_path, monkeypatch, no_process):
     trace = trace_of(1, 3)
     reference_to_csv(trace, tmp_path / "expected.csv")
     blocks = split(monkeypatch, 3, 1, 3)
@@ -90,7 +91,7 @@ def test_one_row_starts_no_helper(tmp_path, monkeypatch, no_process):
 
 
 @pytest.mark.parametrize("count", [1, 3])
-def test_summary_through_helpers(tmp_path, monkeypatch, no_process, count):
+def test_summary_split_gives_its_bytes(tmp_path, monkeypatch, no_process, count):
     summary = SummaryColumns(np.zeros((2731, 2)), values(2731, 1, True)[:, :, 0])
     summary.summary_to_csv(tmp_path / "expected.csv")
     blocks = split(monkeypatch, count, 2731, 1)
