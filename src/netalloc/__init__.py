@@ -49,16 +49,9 @@ from .graphs import (
     path_graph,
     second_largest_singular_value,
 )
-from .objectives import (
-    FeasibleInterval,
-    LocalProblem,
-    Quadratic,
-    dual_value,
-    primal_argmin,
-    subgradient_bound,
-)
+from .objectives import FeasibleInterval, LocalProblem, Quadratic, dual_value
 from .oracle import OracleSolution, solve_centralized, verify_kkt
-from .schedules import Custom, PowerLaw, Recip, RecipSqrt, StepSchedule, parse_schedule
+from .schedules import PowerLaw, Recip, RecipSqrt, StepSchedule, parse_schedule
 from .simulator import RunTrace, consensus_step, lagrangian_value, run_dlm
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import HypothesisViolation
 from .graphs import _require_weight_matrix
-from .objectives import NodeCosts, subgradient_bound
+from .objectives import NodeCosts
 from .schedules import RecipSqrt
 from .simulator import _deviations, _row_blocks, _running_sums, _spreads, _weighted_multipliers
 
@@ -41,10 +41,10 @@ _ROW = "%d,%.17g,%.17g,%.17g,%d\n"
 
 def global_subgradient_bound(problems):
     """Network-wide subgradient bound ``C``: the max of the per-node bounds."""
-    problems = tuple(problems)
-    if not problems:
+    bounds = NodeCosts(problems).subgradient_bounds()
+    if not bounds.size:
         raise ValueError("need at least one problem")
-    return max(subgradient_bound(p) for p in problems)
+    return float(bounds.max())
 
 
 def _require_normalized(sched):
@@ -201,15 +201,12 @@ class BoundReport:
 
 def _dual_sums(problems):
     """``lam -> [sum_i q_i(lam), ...]`` for one shared multiplier or a column
-    ``(B, 1)`` of them: one ``fsum`` per multiplier over the nodes' dual
-    values, which have the bits of :func:`~netalloc.objectives.dual_value`."""
+    ``(B, 1)`` of them: one ``fsum`` per multiplier over the nodes'
+    :meth:`~netalloc.objectives.NodeCosts.dual` pieces."""
     costs = NodeCosts(problems)
-    shares = np.array([p.share for p in problems], dtype=float)
 
     def dual_sums(lam):
-        x_hat = costs.argmin(lam)
-        terms = -(costs.value(x_hat) + lam * (x_hat - shares))
-        return [math.fsum(row) for row in terms.reshape(-1, shares.size).tolist()]
+        return [math.fsum(row) for row in costs.dual(lam).reshape(-1, costs.share.size).tolist()]
 
     return dual_sums
 

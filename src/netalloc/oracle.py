@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleTotal
-from .objectives import NodeCosts, primal_argmin
+from .objectives import NodeCosts
 
 
 @dataclass(frozen=True)
@@ -59,18 +59,15 @@ def solve_centralized(problems, b=None):
     (``gamma == 0``, ``beta + lam_star == 0``) take up ``b - sum x`` in
     index order, each up to its ``hi``.
     """
-    problems = tuple(problems)
-    if not problems:
+    costs = NodeCosts(problems)
+    if not costs.share.size:
         raise ValueError("need at least one problem")
-    if b is None:
-        b = math.fsum(p.share for p in problems)
-    b = float(b)
-    total_lo = math.fsum(p.interval.lo for p in problems)
-    total_hi = math.fsum(p.interval.hi for p in problems)
+    b = math.fsum(costs.share.tolist()) if b is None else float(b)
+    total_lo = math.fsum(costs.lo.tolist())
+    total_hi = math.fsum(costs.hi.tolist())
     if not (total_lo <= b <= total_hi):
         raise InfeasibleTotal(f"total {b} outside achievable range [{total_lo}, {total_hi}]")
 
-    costs = NodeCosts(problems)
     first = float(np.min(-costs.beta - 2.0 * costs.gamma * costs.hi))
     last = float(np.max(-costs.beta - 2.0 * costs.gamma * costs.lo))
     # g(left) = sum hi >= b >= sum lo = g(right); at b = sum hi, right moves only where g < b
@@ -99,23 +96,21 @@ def solve_centralized(problems, b=None):
 def verify_kkt(problems, sol, b=None, tol=1e-8):
     """Check the saddle-point conditions of an alleged solution.
 
-    True iff every ``x_star_i`` lies in its interval and minimizes
-    ``f_i(x) + lam_star*x`` over it to within ``tol`` in objective value, and
-    the allocation balances the total to within ``tol``.
+    True iff ``lam_star`` is finite, every ``x_star_i`` lies in its interval
+    and minimizes ``f_i(x) + lam_star*x`` over it to within ``tol`` in
+    objective value, and the allocation balances the total to within
+    ``tol``. A gap that is not a number (NaN) is refused, not passed.
     """
-    problems = tuple(problems)
+    costs = NodeCosts(problems)
     if b is None:
-        b = math.fsum(p.share for p in problems)
+        b = math.fsum(costs.share.tolist())
     x = np.asarray(sol.x_star, dtype=float)
-    if x.shape != (len(problems),):
+    lam = sol.lam_star
+    if x.shape != costs.share.shape or not math.isfinite(lam):
         return False
-    for i, p in enumerate(problems):
-        if not (p.interval.lo - tol <= x[i] <= p.interval.hi + tol):
-            return False
-        x_hat = primal_argmin(p, sol.lam_star)
-        gap = (p.cost.value(x[i]) + sol.lam_star * x[i]) - (
-            p.cost.value(x_hat) + sol.lam_star * x_hat
-        )
-        if gap > tol:
-            return False
-    return abs(math.fsum(x.tolist()) - b) <= tol
+    x_hat = costs.argmin(lam)
+    # an infinite x overflows into an infinite or NaN gap, which is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = (costs.value(x) + lam * x) - (costs.value(x_hat) + lam * x_hat)
+    inside = (costs.lo - tol <= x) & (x <= costs.hi + tol)
+    return bool(inside.all() and (gap <= tol).all()) and abs(math.fsum(x.tolist()) - b) <= tol

@@ -57,15 +57,26 @@ class StepSchedule:
         return f"{type(self).__name__}()"
 
 
-def _steps(count):
-    """``1.0, 1.0, 2.0, .., count - 1.0``: the round numbers with round 0 as 1,
-    so that ``alpha(0) = 1`` needs no case of its own."""
-    k = np.arange(count, dtype=float)
-    k[:1] = 1.0
-    return k
+class _ClosedForm(StepSchedule):
+    """``alpha(0) = 1``, ``alpha(k) = _step(k, math)`` for ``k >= 1``.
+
+    ``_step(k, xp)`` is the schedule's one formula, written with the
+    functions of ``xp``: :meth:`alpha` evaluates it on a round number with
+    :mod:`math`, ``alphas(count)`` on all of them at once with numpy. Its
+    operations (division, ``sqrt``) round correctly in both, so the two
+    give the same bits.
+    """
+
+    def alpha(self, k):
+        return self._step(k or 1, math)  # round 0 counts as round 1, so alpha(0) = 1
+
+    def _values(self, count):
+        k = np.arange(count, dtype=float)
+        k[:1] = 1.0
+        return self._step(k, np)
 
 
-class RecipSqrt(StepSchedule):
+class RecipSqrt(_ClosedForm):
     """``alpha(0) = 1``, ``alpha(k) = 1/sqrt(k)``.
 
     The schedule of the rate bound.
@@ -73,24 +84,19 @@ class RecipSqrt(StepSchedule):
 
     name = "recip-sqrt"
 
-    def alpha(self, k):
-        return 1.0 if k == 0 else 1.0 / math.sqrt(k)
-
-    def _values(self, count):
-        # IEEE sqrt and division round correctly, so these are alpha(k)'s bits
-        return 1.0 / np.sqrt(_steps(count))
+    @staticmethod
+    def _step(k, xp):
+        return 1.0 / xp.sqrt(k)
 
 
-class Recip(StepSchedule):
+class Recip(_ClosedForm):
     """``alpha(0) = 1``, ``alpha(k) = 1/k``."""
 
     name = "recip"
 
-    def alpha(self, k):
-        return 1.0 if k == 0 else 1.0 / k
-
-    def _values(self, count):
-        return 1.0 / _steps(count)
+    @staticmethod
+    def _step(k, xp):
+        return 1.0 / k
 
 
 class PowerLaw(StepSchedule):
@@ -116,21 +122,6 @@ class PowerLaw(StepSchedule):
 
     def __repr__(self):
         return f"PowerLaw(c={self.c!r}, p={self.p!r})"
-
-
-class Custom(StepSchedule):
-    """Schedule backed by a user sequence oracle ``fn(k) -> float``.
-
-    Positivity and monotonicity are validated on the consumed prefix.
-    """
-
-    name = "custom"
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def alpha(self, k):
-        return float(self._fn(k))
 
 
 def parse_schedule(spec):

@@ -25,11 +25,12 @@ whole round (consensus, primal and dual step) took about 35 us on
 1000-node bus-derived graph, 49 % dense, it took 0.77 ms, against 1.08 ms
 when ``take`` copied the read-only ``indices`` in every round.
 
-The primal step of a round and the cost terms of :meth:`RunTrace.lagrangians`
-and :meth:`RunTrace.total_cost` go through
+The start's midpoints and shares, the primal step of a round and the terms
+of :func:`lagrangian_value`, :meth:`RunTrace.lagrangians` and
+:meth:`RunTrace.total_cost` come from
 :class:`~netalloc.objectives.NodeCosts`, numpy expressions over every node's
-quadratic coefficients with the bits of the per-node functions; each
-Lagrangian row is one ``math.fsum`` over its nodes' terms.
+coefficients with the bits of the scalar formulas; each Lagrangian row is
+one ``math.fsum`` over its nodes' terms.
 
 The CSV writers lay out each block of about :data:`CSV_BLOCK_CELLS` (4096)
 cells as fixed-width lines in one numpy byte buffer, fields NUL-padded, and
@@ -179,14 +180,12 @@ def _average(indptr, indices, data, lam, out, buf):
 
 def lagrangian_value(problems, x, mults):
     """Global Lagrangian ``sum_i f_i(x_i) + mults_i * (x_i - b_i)``."""
-    problems = tuple(problems)
+    costs = NodeCosts(problems)
     x = np.asarray(x, dtype=float)
     mults = np.asarray(mults, dtype=float)
-    if x.shape != (len(problems),) or mults.shape != (len(problems),):
+    if x.shape != costs.share.shape or mults.shape != costs.share.shape:
         raise ValueError("dimension mismatch between problems, x, and mults")
-    return math.fsum(
-        p.cost.value(x[i]) + mults[i] * (x[i] - p.share) for i, p in enumerate(problems)
-    )
+    return math.fsum(costs.lagrangian(x, mults).tolist())
 
 
 @dataclass
@@ -240,8 +239,7 @@ class RunTrace:
         costs = NodeCosts(self.problems)
         out = np.empty(rows)
         for k0, k1 in _row_blocks(rows, self.n):
-            x = self.x[k0:k1]
-            terms = costs.value(x) + self.lam[prev[k0:k1]] * (x - self.b)
+            terms = costs.lagrangian(self.x[k0:k1], self.lam[prev[k0:k1]])
             out[k0:k1] = [math.fsum(row) for row in terms.tolist()]
         return out
 
@@ -313,8 +311,7 @@ class RunTrace:
             except (ValueError, DeprecationWarning):
                 _scan_rows(path, n)
                 raise
-        b = np.array([p.share for p in problems], dtype=float)
-        return cls(problems=problems, b=b, schedule=schedule, x=x, lam=lam, v=v)
+        return cls(problems=problems, b=NodeCosts(problems).share, schedule=schedule, x=x, lam=lam, v=v)
 
 
 def _by_row_blocks(fn, a):
@@ -494,7 +491,8 @@ def run_dlm(problems, A, sched, iters, init_lams=None):
     if A.n != n:
         raise ValueError(f"weight matrix shape {(A.n, A.n)} does not match {n} problems")
     indptr, indices, data = A.indptr, A.indices.copy(), A.data  # a writeable copy: see _average
-    b = np.array([p.share for p in problems], dtype=float)
+    costs = NodeCosts(problems)
+    b = costs.share
     if init_lams is None:
         lam = np.zeros(n)
     else:
@@ -506,11 +504,10 @@ def run_dlm(problems, A, sched, iters, init_lams=None):
     x_hist = np.empty((iters + 1, n))
     lam_hist = np.empty((iters + 1, n))
     v_hist = np.empty((iters + 1, n))
-    x_hist[0] = [p.interval.midpoint for p in problems]
+    x_hist[0] = costs.midpoints()
     lam_hist[0] = lam
     v_hist[0] = lam
 
-    costs = NodeCosts(problems)
     buf = np.empty(data.shape)
     # floating-point faults in the loop surface as non-finite iterates, which
     # the pass after it reports with their round

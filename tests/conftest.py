@@ -1,15 +1,30 @@
 """Shared helpers: random connected graphs, the CSR fields of a dense weight
-matrix, and random strictly convex instances."""
+matrix, random strictly convex instances, and a schedule from any sequence."""
 
 import math
 
 import numpy as np
 import pytest
 
-from netalloc import FeasibleInterval, GraphTopology, LocalProblem, Quadratic
+from netalloc import FeasibleInterval, GraphTopology, LocalProblem, Quadratic, StepSchedule
 
 # Seed for every randomized suite in this repo; change deliberately or not at all.
 SUITE_SEED = 20260809
+
+
+class Custom(StepSchedule):
+    """Schedule backed by a sequence oracle ``fn(k) -> float``.
+
+    Positivity and monotonicity are validated on the consumed prefix.
+    """
+
+    name = "custom"
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def alpha(self, k):
+        return float(self._fn(k))
 
 
 def random_connected_graph(rng, n, extra_edge_prob=0.35):

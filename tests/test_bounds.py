@@ -19,11 +19,8 @@ from netalloc import (
     check_bounds,
     consensus_error_bound,
     default_checkpoints,
-    dual_value,
     global_subgradient_bound,
-    lagrangian_value,
     metropolis_weights,
-    primal_argmin,
     rate_bound,
     run_dlm,
     solve_centralized,
@@ -35,6 +32,7 @@ from netalloc.bounds import _dual_sums, resolve_checks
 from netalloc.graphs import cycle_graph
 from netalloc.objectives import NodeCosts
 from conftest import SUITE_SEED, csr_fields, random_connected_graph, random_quadratic_instance
+from reference import dual_value, lagrangian_value, primal_argmin, value
 
 
 def make_problem(lo, hi, share, gamma=0.1, beta=0.0):
@@ -304,7 +302,7 @@ class TestVectorisedPaths:
             for k in range(trace.x.shape[0])
         ]
         assert bits(trace.lagrangians()) == bits(expected)
-        total = math.fsum(p.cost.value(x) for p, x in zip(problems, trace.x[-1].tolist()))
+        total = math.fsum(value(p.cost, x) for p, x in zip(problems, trace.x[-1].tolist()))
         assert bits(trace.total_cost()) == bits(total)
 
     def test_quadratic_path_matches_per_node_path(self, rng):
@@ -359,7 +357,7 @@ class TestVectorisedPaths:
             problems = with_flat_nodes(problems, range(6))
         costs = NodeCosts(problems)
         x = rng.uniform(-6.0, 13.0, (5, 6))
-        expected = [[p.cost.value(xi) for p, xi in zip(problems, row)] for row in x.tolist()]
+        expected = [[value(p.cost, xi) for p, xi in zip(problems, row)] for row in x.tolist()]
         assert bits(costs.value(x)) == bits(expected)
 
         def per_node(v):

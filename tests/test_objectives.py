@@ -5,14 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from netalloc import (
-    FeasibleInterval,
-    LocalProblem,
-    Quadratic,
-    dual_value,
-    primal_argmin,
-    subgradient_bound,
-)
+import reference
+from conftest import SUITE_SEED
+from netalloc import FeasibleInterval, LocalProblem, Quadratic, dual_value, lagrangian_value
 from netalloc.objectives import NodeCosts
 
 
@@ -27,6 +22,53 @@ def gen1_problem(share=60.0):
     return LocalProblem(Quadratic(0.04, 2.0), FeasibleInterval(0.0, 80.0), share)
 
 
+def primal_argmin(p, v):
+    """One node's :meth:`NodeCosts.argmin`."""
+    return float(NodeCosts([p]).argmin(v)[0])
+
+
+def subgradient_bound(p):
+    """One node's :meth:`NodeCosts.subgradient_bounds`."""
+    return float(NodeCosts([p]).subgradient_bounds()[0])
+
+
+@pytest.fixture(scope="class")
+def mixed_nodes(suite_rng):
+    """``(problems, v, x)``: nodes for the bit-for-bit comparisons, with a
+    multiplier and a point per node.
+
+    Slopes ``beta + v`` of +0.0 and -0.0 inside the interval, where only the
+    sign of the quotient tells the results apart; flat nodes on either side
+    of and at their tie; clamped nodes at both ends; signed zero shares and
+    points; and random nodes. The random nodes' ``gamma``, ``beta``, ``v``
+    and interval come from the suite stream, their ``mu``, share and point
+    from a private one.
+    """
+    # gamma, beta, v, lo, hi, mu, share, x
+    nodes = [
+        (1.0, 2.0, -2.0, -5.0, 5.0, 0.0, 0.0, -0.0),
+        (1.0, -0.0, -0.0, -5.0, 5.0, -0.0, -0.0, 0.0),
+        (3.0, 0.0, -0.0, -5.0, 5.0, 1.5, 5.0, -5.0),
+        (1e-300, 1.0, -0.5, -5.0, 5.0, 0.0, 2.0, 2.0),
+        (0.0, 2.0, -2.0, -1.0, 3.0, 0.25, -0.0, -0.0),
+        (0.0, 2.0, 1.0, -1.0, 3.0, 0.0, 3.0, -1.0),
+        (0.0, 2.0, -5.0, -1.0, 3.0, -2.0, -1.0, 3.0),
+        (0.0, -0.0, -0.0, -0.0, 0.0, 0.0, 0.0, -0.0),
+        (0.5, 2.0, -100.0, -1.0, 3.0, 0.0, 10.0, 0.5),
+        (0.5, 2.0, 100.0, -1.0, 3.0, 0.0, -10.0, 1.0),
+    ]
+    private = np.random.default_rng(SUITE_SEED + 4)
+    for _ in range(40):
+        gamma = float(suite_rng.choice([0.0, suite_rng.uniform(1e-3, 2.0)]))
+        lo, hi = sorted(suite_rng.uniform(-10.0, 10.0, 2).tolist())
+        beta, v = suite_rng.uniform(-10.0, 10.0, 2).tolist()
+        nodes.append((gamma, beta, v, lo, hi, *private.uniform(-12.0, 12.0, 3).tolist()))
+    problems = [
+        LocalProblem(Quadratic(g, b, mu), FeasibleInterval(lo, hi), share) for g, b, _, lo, hi, mu, share, _ in nodes
+    ]
+    return problems, np.array([node[2] for node in nodes]), np.array([node[7] for node in nodes])
+
+
 class TestFeasibleInterval:
     def test_rejects_inverted(self):
         with pytest.raises(ValueError, match="empty"):
@@ -37,7 +79,8 @@ class TestFeasibleInterval:
             FeasibleInterval(0.0, math.inf)
 
     def test_singleton_allowed(self):
-        assert FeasibleInterval(2.0, 2.0).width == 0.0
+        interval = FeasibleInterval(2.0, 2.0)
+        assert interval.lo == interval.hi == 2.0
 
 
 class TestPrimalArgmin:
@@ -81,40 +124,36 @@ class TestPrimalArgmin:
     def test_zero_tie_matches_node_costs_bit_for_bit(self, beta, v, lo, hi):
         p = LocalProblem(Quadratic(1.0, beta), FeasibleInterval(lo, hi), 0.0)
         node = NodeCosts([p]).argmin(v)[0]
-        assert np.float64(primal_argmin(p, v)).tobytes() == node.tobytes()
+        assert np.float64(reference.primal_argmin(p, v)).tobytes() == node.tobytes()
 
-    def test_node_costs_match_per_node_bit_for_bit(self, suite_rng):
-        # slopes of +0.0 and -0.0 inside the interval, where only the sign of
-        # the quotient tells the results apart; flat nodes on either side of
-        # and at their tie; clamped nodes at both ends; and random nodes
-        nodes = [
-            (1.0, 2.0, -2.0, -5.0, 5.0),
-            (1.0, -0.0, -0.0, -5.0, 5.0),
-            (3.0, 0.0, -0.0, -5.0, 5.0),
-            (1e-300, 1.0, -0.5, -5.0, 5.0),
-            (0.0, 2.0, -2.0, -1.0, 3.0),
-            (0.0, 2.0, 1.0, -1.0, 3.0),
-            (0.0, 2.0, -5.0, -1.0, 3.0),
-            (0.0, -0.0, -0.0, -0.0, 0.0),
-            (0.5, 2.0, -100.0, -1.0, 3.0),
-            (0.5, 2.0, 100.0, -1.0, 3.0),
-        ]
-        for _ in range(40):
-            gamma = float(suite_rng.choice([0.0, suite_rng.uniform(1e-3, 2.0)]))
-            lo, hi = sorted(suite_rng.uniform(-10.0, 10.0, 2).tolist())
-            nodes.append((gamma, *suite_rng.uniform(-10.0, 10.0, 2).tolist(), lo, hi))
-        problems = [LocalProblem(Quadratic(g, b), FeasibleInterval(lo, hi), 0.0) for g, b, _, lo, hi in nodes]
-        v = np.array([node[2] for node in nodes])
+    # every NodeCosts method against tests/reference.py, for v per node, one
+    # shared multiplier, and a (B, 1) column of them
+    @pytest.mark.parametrize("method", ["argmin", "lagrangian", "dual", "subgradient_bounds"])
+    def test_node_costs_match_per_node_bit_for_bit(self, mixed_nodes, method):
+        problems, v, x = mixed_nodes
         costs = NodeCosts(problems)
+        per_node = {
+            "argmin": lambda p, xi, vi: reference.primal_argmin(p, vi),
+            "lagrangian": reference.lagrangian_term,
+            "dual": lambda p, xi, vi: reference.dual_value(p, vi),
+            "subgradient_bounds": lambda p, xi, vi: reference.subgradient_bound(p),
+        }[method]
 
-        def per_node(vs):
-            return np.array([primal_argmin(p, x) for p, x in zip(problems, vs.tolist())]).tobytes()
+        def library(lam):
+            if method == "lagrangian":
+                return costs.lagrangian(x, lam)
+            if method == "subgradient_bounds":
+                return np.broadcast_to(costs.subgradient_bounds(), np.broadcast_shapes(np.shape(lam), x.shape))
+            return getattr(costs, method)(lam)
 
-        assert costs.argmin(v).tobytes() == per_node(v)
-        for shared in (0.0, -0.0, -2.0, 7.5):  # one multiplier for every node, alone and as a column
-            assert costs.argmin(shared).tobytes() == per_node(np.full(len(nodes), shared))
-            column = costs.argmin(np.array([[shared], [-shared]]))
-            assert column.tobytes() == per_node(np.full(len(nodes), shared)) + per_node(np.full(len(nodes), -shared))
+        def expected(vs):
+            return np.array([per_node(p, xi, vi) for p, xi, vi in zip(problems, x.tolist(), vs)]).tobytes()
+
+        assert library(v).tobytes() == expected(v.tolist())
+        for shared in (0.0, -0.0, -2.0, 7.5):
+            assert library(shared).tobytes() == expected([shared] * len(problems))
+            column = library(np.array([[shared], [-shared]]))
+            assert column.tobytes() == expected([shared] * len(problems)) + expected([-shared] * len(problems))
 
     def test_feasibility_property(self, suite_rng):
         # optimality certificate against random feasible points
@@ -127,11 +166,12 @@ class TestPrimalArgmin:
                 float(suite_rng.uniform(-5, 5)),
             )
             v = float(suite_rng.uniform(-10, 10))
+            costs = NodeCosts([p])
             x_hat = primal_argmin(p, v)
             assert lo <= x_hat <= hi
-            best = p.cost.value(x_hat) + v * x_hat
+            best = costs.value(x_hat)[0] + v * x_hat
             others = lo + (hi - lo) * suite_rng.random(100)
-            vals = p.cost.value(others) + v * others
+            vals = costs.value(others) + v * others
             assert (best <= vals + 1e-9).all()
 
 
@@ -220,3 +260,16 @@ class TestSubgradientBound:
         p = LocalProblem(Quadratic(1.0, 0.0), FeasibleInterval(2.0, 2.0), 2.0)
         assert subgradient_bound(p) == 0.0
 
+
+class TestNanMultiplier:
+    """A NaN multiplier propagates: no node turns it into an interval end."""
+
+    def test_propagates_through_argmin_dual_and_lagrangian(self):
+        flat = LocalProblem(Quadratic(0.0, 2.0), FeasibleInterval(-1.0, 3.0), 0.5)
+        problems = [gen1_problem(), flat]
+        costs = NodeCosts(problems)
+        assert np.isnan(costs.argmin(math.nan)).all()
+        assert np.isnan(costs.argmin(np.array([[math.nan], [math.nan]]))).all()
+        assert np.isnan(costs.dual(np.array([math.nan, math.nan]))).all()
+        assert all(math.isnan(dual_value(p, math.nan)) for p in problems)
+        assert math.isnan(lagrangian_value(problems, [60.0, 0.5], [math.nan, 0.0]))

@@ -21,7 +21,9 @@ from netalloc import (
     verify_kkt,
 )
 from netalloc.objectives import NodeCosts
-from conftest import random_quadratic_instance
+from conftest import SUITE_SEED, random_quadratic_instance
+import reference
+from reference import value
 
 # Frozen regression values for the builtin five-generator case, computed
 # independently from the interior stationarity conditions: all optimal outputs
@@ -61,7 +63,7 @@ def brute_force_best(problems, b, points=200):
         best = float(total.min())
     else:
         if last.interval.lo <= b <= last.interval.hi:
-            best = last.cost.value(b)
+            best = value(last.cost, b)
     return best
 
 
@@ -222,7 +224,7 @@ class TestBuiltinCaseRegression:
                 x[j] -= 0.01
                 if not all(problems[k].interval.lo <= x[k] <= problems[k].interval.hi for k in (i, j)):
                     continue
-                cost = math.fsum(p.cost.value(x[k]) for k, p in enumerate(problems))
+                cost = math.fsum(value(p.cost, x[k]) for k, p in enumerate(problems))
                 assert cost >= base - 1e-9
 
 
@@ -245,6 +247,43 @@ class TestVerifyKkt:
             self.sol.x_star.copy(), self.sol.f_star, self.sol.lam_star + 1.0, self.sol.residual
         )
         assert not verify_kkt(self.problems, bad, b=300.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_multiplier(self, bad):
+        # a NaN gap fails "gap <= tol" and an infinite multiplier is refused
+        # before it makes one
+        assert not verify_kkt(self.problems, dataclasses.replace(self.sol, lam_star=bad), b=300.0)
+
+    def test_verdicts_match_the_per_node_loop(self):
+        # this file's instances, the oracle's solutions and perturbed ones:
+        # a coordinate moved by 0.1 and by a fraction or a multiple of tol,
+        # off its interval by as much, the multiplier moved by 1.0 and by one
+        # double, and an allocation of the wrong length
+        toy = TestTwoNodeToy()
+        toy.setup_method()
+        instances = [(toy.problems, 4.0), (to_problems(builtin_ieee14()), 300.0), fixed_case("ieee14-flat3")]
+        rng = np.random.default_rng(SUITE_SEED + 6)  # private stream: the suite stream is unchanged
+        instances += [random_instance(rng) for _ in range(30)]
+        verdicts = []
+        for problems, b in instances:
+            sol = solve_centralized(problems, b)
+            i = int(rng.integers(len(problems)))
+            candidates = [sol, dataclasses.replace(sol, x_star=sol.x_star[:-1])]
+            for step in (0.1, 5e-9, 2e-8, -5e-9, -2e-8):
+                x = sol.x_star.copy()
+                x[i] += step
+                candidates.append(dataclasses.replace(sol, x_star=x))
+            for end, step in ((problems[i].interval.hi, 5e-9), (problems[i].interval.lo, -2e-8)):
+                x = sol.x_star.copy()
+                x[i] = end + step
+                candidates.append(dataclasses.replace(sol, x_star=x))
+            for lam in (sol.lam_star + 1.0, math.nextafter(sol.lam_star, math.inf)):
+                candidates.append(dataclasses.replace(sol, lam_star=lam))
+            for candidate in candidates:
+                verdict = verify_kkt(problems, candidate, b=b)
+                assert verdict == reference.verify_kkt(problems, candidate, b=b)
+                verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
 
 
 class TestRandomInstances:

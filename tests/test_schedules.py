@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from netalloc import Custom, PowerLaw, Recip, RecipSqrt, parse_schedule
+from conftest import Custom
+from netalloc import PowerLaw, Recip, RecipSqrt, parse_schedule
 
 
 class TestValues:

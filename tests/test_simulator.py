@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from netalloc import (
-    Custom,
     FeasibleInterval,
     LocalProblem,
     Quadratic,
@@ -22,14 +21,14 @@ from netalloc import (
     lagrangian_value,
     metropolis_weights,
     path_graph,
-    primal_argmin,
     run_dlm,
     solve_centralized,
     to_problems,
 )
 from netalloc import simulator
 from netalloc.objectives import NodeCosts
-from conftest import random_connected_graph, random_quadratic_instance
+from conftest import Custom, random_connected_graph, random_quadratic_instance
+from reference import primal_argmin, value
 
 
 def two_node_instance(gamma=0.5, lo=-10.0, hi=10.0, share=2.0):
@@ -303,7 +302,7 @@ class TestLagrangianValue:
     def test_at_shares_equals_total_cost(self, suite_rng):
         problems, _ = random_quadratic_instance(suite_rng, n=4)
         x = [p.share for p in problems]
-        expected = math.fsum(p.cost.value(p.share) for p in problems)
+        expected = math.fsum(value(p.cost, p.share) for p in problems)
         assert lagrangian_value(problems, x, [7.0] * 4) == pytest.approx(expected, abs=1e-12)
 
     def test_hand_example(self):
